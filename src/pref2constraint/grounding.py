@@ -14,10 +14,18 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .constraints import All, Constraint, From, Range, TimeCondition, Until, Variable
+from .constraints import (
+    MINUTES_PER_DAY,
+    All,
+    Constraint,
+    From,
+    Range,
+    TimeCondition,
+    Until,
+    Variable,
+)
 from .errors import Pref2ConstraintError
 
-MINUTES_PER_DAY = 1440
 ALLOWED_SLOT_MINUTES = (1, 5, 15, 30, 60)
 
 

@@ -3,9 +3,10 @@
 Places a fixed-duration appliance run on the day so as to maximize the
 energy served from local PV production, Σ_t min(pv_t, base_load_t +
 appliance_t), while honoring every slot forced by grounded constraints.
-Exhaustive search: all start offsets for a contiguous run, all slot
-combinations (small horizons only) otherwise.  Ties go to the earliest
-placement in lexicographic slot order, so results are deterministic.
+The objective is separable, so the optimum is the best window over
+prefix sums of per-slot gains for a contiguous run and the top gains
+otherwise, on any horizon.  Ties go to the earliest placement in
+lexicographic slot order, so results are deterministic.
 
 This is a stand-in for the real community-level optimizer: just enough
 model for generated constraints to have observable consequences.
@@ -14,15 +15,15 @@ model for generated constraints to have observable consequences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 from .constraints import Constraint
 from .errors import Pref2ConstraintError
 from .grounding import ConflictError, GroundedAssignment, Horizon, ground, merge
-
-MAX_COMBINATORIAL_SLOTS = 24
 
 
 class SchedulerError(Pref2ConstraintError):
@@ -33,10 +34,6 @@ class InfeasibleError(SchedulerError):
     pass
 
 
-class TooLargeError(SchedulerError):
-    pass
-
-
 @dataclass(frozen=True)
 class Appliance:
     power_kw: float
@@ -44,8 +41,8 @@ class Appliance:
     contiguous: bool = True
 
     def __post_init__(self) -> None:
-        if self.power_kw <= 0:
-            raise SchedulerError("appliance power must be > 0 kW")
+        if not 0 < self.power_kw < math.inf:
+            raise SchedulerError("appliance power must be finite and > 0 kW")
         if self.duration_slots < 1:
             raise SchedulerError("appliance duration must be >= 1 slot")
 
@@ -62,8 +59,8 @@ class ScheduleProblem:
         n = self.horizon.num_slots
         if len(self.pv) != n or len(self.base_load) != n:
             raise SchedulerError(f"pv and base_load must have {n} entries")
-        if any(v < 0 for v in self.pv) or any(v < 0 for v in self.base_load):
-            raise SchedulerError("pv and base_load must be non-negative")
+        if not all(0 <= v < math.inf for v in self.pv + self.base_load):
+            raise SchedulerError("pv and base_load must be finite and non-negative")
         if self.appliance.duration_slots > n:
             raise SchedulerError("appliance duration exceeds the horizon")
         if self.forced.horizon != self.horizon:
@@ -128,54 +125,46 @@ def self_consumption(problem: ScheduleProblem, on_slots: frozenset[int]) -> floa
     return total
 
 
-def _respects_forced(on_slots: frozenset[int], forced: GroundedAssignment) -> bool:
-    for slot, value in enumerate(forced.state):
-        if value == 1 and slot not in on_slots:
-            return False
-        if value == 0 and slot in on_slots:
-            return False
-    return True
-
-
-def _candidate_placements(problem: ScheduleProblem) -> list[frozenset[int]]:
-    n = problem.horizon.num_slots
-    duration = problem.appliance.duration_slots
-    if problem.appliance.contiguous:
-        return [
-            frozenset(range(start, start + duration)) for start in range(n - duration + 1)
-        ]
-    if n > MAX_COMBINATORIAL_SLOTS:
-        raise TooLargeError(
-            f"non-contiguous search needs num_slots <= {MAX_COMBINATORIAL_SLOTS}, got {n}"
-        )
-    return [frozenset(combo) for combo in combinations(range(n), duration)]
-
-
 def solve(problem: ScheduleProblem) -> Schedule:
-    """Best feasible placement by exhaustive search, earliest-slots tie-break."""
+    """Best feasible placement, earliest-slots tie-break.
+
+    Placements are compared by their exact gain over the float inputs,
+    so a tie is an exact one: gains of 0.3 − 0.2 and 0.2 − 0.1 differ in
+    binary and are *not* a tie, while two slots that each add 0.3 are.
+    """
     must_on = problem.forced.forced_state_slots(1)
-    if len(must_on) > problem.appliance.duration_slots:
+    duration = problem.appliance.duration_slots
+    if len(must_on) > duration:
         raise InfeasibleError(
-            f"{len(must_on)} slots are forced on but the appliance only runs "
-            f"for {problem.appliance.duration_slots}"
+            f"{len(must_on)} slots are forced on but the appliance only runs for {duration}"
         )
-    best: tuple[float, list[int]] | None = None
-    best_slots: frozenset[int] | None = None
-    for placement in _candidate_placements(problem):
-        if not _respects_forced(placement, problem.forced):
-            continue
-        score = self_consumption(problem, placement)
-        key = (-score, sorted(placement))
-        if best is None or key < best:
-            best = key
-            best_slots = placement
-    if best_slots is None:
-        raise InfeasibleError("no placement satisfies the forced slots")
-    return Schedule(
-        on_slots=best_slots,
-        self_consumption_kwh=-best[0],
-        feasible=True,
-    )
+    n = problem.horizon.num_slots
+    state = problem.forced.state
+    # switching slot t on adds min(pv, base + e) − min(pv, base), whatever else is on
+    per_slot = Fraction(problem.appliance_kwh_per_slot)
+    gains = [
+        min(Fraction(pv) - Fraction(base), per_slot) if pv > base else Fraction(0)
+        for pv, base in zip(problem.pv, problem.base_load)
+    ]
+    if problem.appliance.contiguous:
+        gain_sums = [0, *accumulate(gains)]
+        off_counts = [0, *accumulate(value == 0 for value in state)]
+        first = max(0, max(must_on, default=0) - duration + 1)
+        last = min(n - duration, min(must_on, default=n))
+        starts = [s for s in range(first, last + 1) if off_counts[s + duration] == off_counts[s]]
+        if not starts:
+            raise InfeasibleError("no placement satisfies the forced slots")
+        # max keeps the first of equal keys, i.e. the earliest start
+        best = max(starts, key=lambda s: gain_sums[s + duration] - gain_sums[s])
+        on_slots = frozenset(range(best, best + duration))
+    else:
+        free = [slot for slot, value in enumerate(state) if value is None]
+        free.sort(key=lambda slot: (-gains[slot], slot))
+        missing = duration - len(must_on)
+        if len(free) < missing:
+            raise InfeasibleError("no placement satisfies the forced slots")
+        on_slots = frozenset(must_on) | frozenset(free[:missing])
+    return Schedule(on_slots, self_consumption(problem, on_slots), feasible=True)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ implementations under test.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 
@@ -89,13 +90,16 @@ def schedule_oracle(problem):
 
     Considers all contiguous windows (or all slot combinations for a
     non-contiguous appliance), filters by the forced slots with explicit
-    per-slot checks, scores with a separate energy loop, and breaks ties
-    toward the lexicographically smallest sorted slot list.  Returns None
-    when nothing is admissible.
+    per-slot checks, scores exactly in Fraction with a separate energy
+    loop, and breaks exact ties toward the lexicographically smallest
+    sorted slot list.  Returns None when nothing is admissible, else the
+    slots and their exact score.
     """
     n = problem.horizon.num_slots
     duration = problem.appliance.duration_slots
-    appliance_kwh = problem.appliance.power_kw * problem.horizon.slot_minutes / 60.0
+    appliance_kwh = Fraction(problem.appliance.power_kw * problem.horizon.slot_minutes / 60.0)
+    pv = [Fraction(value) for value in problem.pv]
+    base_load = [Fraction(value) for value in problem.base_load]
 
     if problem.appliance.contiguous:
         candidates = [
@@ -113,13 +117,13 @@ def schedule_oracle(problem):
                 return False
         return True
 
-    def score(slots: list[int]) -> float:
-        total = 0.0
+    def score(slots: list[int]) -> Fraction:
+        total = Fraction(0)
         for slot in range(n):
-            used = problem.base_load[slot]
+            used = base_load[slot]
             if slot in slots:
                 used += appliance_kwh
-            total += min(problem.pv[slot], used)
+            total += min(pv[slot], used)
         return total
 
     best = None

@@ -177,6 +177,15 @@ class TestScheduleCommands:
         assert code == 0
         assert payload["on_slots"] == [12, 13]
 
+    def test_schedule_rejects_nan_pv(self, capsys, problem_file):
+        payload = json.loads(problem_file.read_text("utf-8"))
+        payload["pv"][12] = float("nan")
+        problem_file.write_text(json.dumps(payload), "utf-8")
+        code, out, err = run_cli(capsys, "schedule", "--problem", str(problem_file), "--json")
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
     def test_schedule_text_timeline(self, capsys, problem_file):
         code, out, _ = run_cli(capsys, "schedule", "--problem", str(problem_file))
         assert code == 0

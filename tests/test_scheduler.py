@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +12,6 @@ from pref2constraint.scheduler import (
     Schedule,
     ScheduleProblem,
     SchedulerError,
-    TooLargeError,
     check_functional,
     self_consumption,
     solve,
@@ -93,10 +94,47 @@ class TestSolve:
         assert schedule.on_slots == {2, 9}
         assert schedule.self_consumption_kwh == pytest.approx(8.0)
 
-    def test_non_contiguous_too_large(self):
-        problem = day_problem({}, contiguous=False, slot_minutes=30)
-        with pytest.raises(TooLargeError):
-            solve(problem)
+    def test_non_contiguous_minute_day_is_forced_slots_plus_top_gains(self):
+        rng = random.Random(1440)
+        horizon = Horizon(1)
+        forced = GroundedAssignment(horizon)
+        for slot in rng.sample(range(1440), 40):
+            forced.state[slot] = 1 if slot % 4 == 0 else 0
+        must_on = {slot for slot, value in enumerate(forced.state) if value == 1}
+        # a coarse grid and a 0.01 kWh appliance step make many exact ties
+        pv = [round(rng.choice([0.0, rng.uniform(0, 0.05)]), 2) for _ in range(1440)]
+        load = [round(rng.uniform(0, 0.03), 2) for _ in range(1440)]
+        problem = day_problem(
+            dict(enumerate(pv)), duration=len(must_on) + 90, power_kw=0.6,
+            contiguous=False, forced=forced, slot_minutes=1, base_load=load,
+        )
+        schedule = solve(problem)
+
+        step = Fraction(problem.appliance_kwh_per_slot)
+        gains = [
+            min(Fraction(p), Fraction(b) + step) - min(Fraction(p), Fraction(b))
+            for p, b in zip(pv, load)
+        ]
+        free = [slot for slot, value in enumerate(forced.state) if value is None]
+        top = sorted(free, key=lambda slot: (-gains[slot], slot))[:90]
+        assert schedule.on_slots == must_on | set(top)
+        assert len({gains[slot] for slot in top}) < len(top)  # ties were in play
+        idle = sum(min(Fraction(p), Fraction(b)) for p, b in zip(pv, load))
+        served = sum(
+            min(Fraction(p), Fraction(b) + (step if slot in schedule.on_slots else 0))
+            for slot, (p, b) in enumerate(zip(pv, load))
+        )
+        assert served == idle + sum(gains[slot] for slot in schedule.on_slots)
+        assert schedule.self_consumption_kwh == self_consumption(problem, schedule.on_slots)
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_exact_ties_break_earliest_despite_float_noise(self, contiguous):
+        # both slots add exactly 0.3 kWh, but the float day sums differ in the last bit
+        load = [0.0] * 24
+        load[20], load[22] = 0.2, 0.1
+        problem = day_problem({20: 2.5, 22: 0.7}, duration=1, power_kw=0.3,
+                              contiguous=contiguous, base_load=load)
+        assert solve(problem).on_slots == {20}
 
     def test_base_load_soaks_pv_first(self):
         # PV at slot 1 is already eaten by base load, so the appliance
@@ -117,6 +155,15 @@ class TestSolve:
             Appliance(power_kw=0.0, duration_slots=1)
         with pytest.raises(SchedulerError):
             day_problem({}, duration=100)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(SchedulerError):
+            Appliance(power_kw=bad, duration_slots=1)
+        with pytest.raises(SchedulerError):
+            day_problem({3: bad})
+        with pytest.raises(SchedulerError):
+            day_problem({}, base_load=[0.0] * 23 + [bad])
 
 
 def random_problem(rng: random.Random, contiguous=True) -> ScheduleProblem:
