@@ -15,16 +15,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pref2constraint.dataset import load_dataset  # noqa: E402
+from pref2constraint.dataset import load_dataset, pilot_corpus_path  # noqa: E402
 
-OUT = (
-    Path(__file__).resolve().parents[1]
-    / "src"
-    / "pref2constraint"
-    / "resources"
-    / "data"
-    / "pilot_it.jsonl"
-)
+OUT = pilot_corpus_path()
 
 # (text, [(span substring, kind)], [gold constraints])
 ENTRIES = [

@@ -29,18 +29,11 @@ from pref2constraint.constraints import (  # noqa: E402
     Until,
     render_constraint,
 )
-from pref2constraint.dataset import GoldRecord, load_pilot_corpus  # noqa: E402
+from pref2constraint.dataset import GoldRecord, load_pilot_corpus, mock_fixtures_path  # noqa: E402
 from pref2constraint.llm import prompt_digest  # noqa: E402
 from pref2constraint.prompting import PromptSpec, ShotSetting, build_prompt, select_examples  # noqa: E402
 
-OUT = (
-    Path(__file__).resolve().parents[1]
-    / "src"
-    / "pref2constraint"
-    / "resources"
-    / "mock"
-    / "mock_responses.json"
-)
+OUT = mock_fixtures_path()
 
 TEMPLATE_ID = "it"
 SEED = 0

@@ -16,20 +16,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pref2constraint.dataset import load_pilot_corpus, pilot_corpus_path  # noqa: E402
+from pref2constraint.dataset import load_pilot_corpus, mock_fixtures_path, pilot_corpus_path  # noqa: E402
 from pref2constraint.llm import MockBackend, RunManifest, run_experiment  # noqa: E402
 from pref2constraint.metrics import evaluate_run, reports_to_json  # noqa: E402
 from pref2constraint.prompting import PromptSpec, ShotSetting, build_prompt, select_examples  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "goldens"
-MOCK_FIXTURES = (
-    Path(__file__).resolve().parents[1]
-    / "src"
-    / "pref2constraint"
-    / "resources"
-    / "mock"
-    / "mock_responses.json"
-)
 
 TARGET_ID = "u01"
 SEED = 0
@@ -56,7 +48,7 @@ def refresh_eval_report() -> None:
         model_id="mock-model",
         seed=SEED,
     )
-    backend = MockBackend.from_file(MOCK_FIXTURES)
+    backend = MockBackend.from_file(mock_fixtures_path())
     with tempfile.TemporaryDirectory() as tmp:
         outputs = Path(tmp) / "run.jsonl"
         summary = run_experiment(manifest, records, backend, outputs)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .constraints import canonicalize, parse_constraint
-from .dataset import load_dataset, pilot_corpus_path, tag_utterance
+from .dataset import load_dataset, mock_fixtures_path, pilot_corpus_path, tag_utterance
 from .errors import Pref2ConstraintError
 from .grounding import Horizon, ground
 from .llm import (
@@ -41,7 +41,6 @@ from .prompting import (
 from .scheduler import ScheduleProblem, check_functional, solve
 
 ENV_PREFIX = "PREF2CONSTRAINT"
-DEFAULT_MOCK_FIXTURES = "resources/mock/mock_responses.json"
 
 
 def _read_config_file(path: str | None) -> dict[str, str]:
@@ -76,10 +75,6 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
 
 def _dataset_path(args: argparse.Namespace) -> Path:
     return Path(args.data) if args.data else pilot_corpus_path()
-
-
-def _default_mock_fixtures() -> Path:
-    return Path(__file__).parent / DEFAULT_MOCK_FIXTURES
 
 
 def cmd_validate_data(args: argparse.Namespace) -> int:
@@ -140,7 +135,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         max_new_tokens=args.max_new_tokens,
     )
     if args.backend == "mock":
-        fixtures = Path(args.fixtures) if args.fixtures else _default_mock_fixtures()
+        fixtures = Path(args.fixtures) if args.fixtures else mock_fixtures_path()
         backend = MockBackend.from_file(fixtures)
     else:
         endpoint = _setting(args.endpoint, "endpoint", config)

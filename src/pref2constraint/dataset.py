@@ -166,9 +166,19 @@ def dump_dataset(records: Iterable[GoldRecord], path: str | Path) -> None:
             handle.write(json.dumps(record.to_dict(), ensure_ascii=False) + "\n")
 
 
+def resource_path(*parts: str) -> Path:
+    """Filesystem path of a file shipped under the package's ``resources/``."""
+    return Path(resources.files("pref2constraint").joinpath("resources", *parts))
+
+
 def pilot_corpus_path() -> Path:
     """Filesystem path of the shipped Italian pilot corpus."""
-    return Path(resources.files("pref2constraint") / "resources" / "data" / PILOT_CORPUS_RESOURCE)
+    return resource_path("data", PILOT_CORPUS_RESOURCE)
+
+
+def mock_fixtures_path() -> Path:
+    """Filesystem path of the mock responses for the pilot corpus's default run."""
+    return resource_path("mock", "mock_responses.json")
 
 
 def load_pilot_corpus() -> list[GoldRecord]:

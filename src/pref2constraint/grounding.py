@@ -10,8 +10,8 @@ optimizer.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable
 
 from .constraints import (
@@ -126,9 +126,6 @@ class GroundedAssignment:
             "temperature": list(self.temperature),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False)
-
     @classmethod
     def from_dict(cls, data: dict) -> "GroundedAssignment":
         horizon = Horizon(int(data["slot_minutes"]))
@@ -148,28 +145,36 @@ def _slot_range(window: tuple[int, int], horizon: Horizon) -> range:
     return range(max(first, 0), min(last, horizon.num_slots - 1) + 1)
 
 
+def _force(
+    assignment: GroundedAssignment,
+    variable: str,
+    pairs: Iterable[tuple[int, float | None]],
+    conflicts: list[SlotConflict],
+) -> None:
+    """Force (slot, value) pairs into one column; a None value forces nothing.
+
+    A free slot takes the value; a slot already holding a different value
+    keeps it and the disagreement is appended to ``conflicts``.
+    """
+    column = getattr(assignment, variable)
+    for i, value in pairs:
+        if value is None:
+            continue
+        current = column[i]
+        if current is None:
+            column[i] = value
+        elif current != value:
+            conflicts.append(SlotConflict(i, variable, current, value))
+
+
 def ground(constraints: Iterable[Constraint], horizon: Horizon) -> GroundedAssignment:
     """Apply constraints slot-wise; collect every conflicting slot before failing."""
     assignment = GroundedAssignment(horizon)
     conflicts: list[SlotConflict] = []
     for constraint in constraints:
         slots = _slot_range(condition_window(constraint.condition), horizon)
-        if constraint.variable is Variable.STATE:
-            value = constraint.value.value
-            for i in slots:
-                current = assignment.state[i]
-                if current is None:
-                    assignment.state[i] = value
-                elif current != value:
-                    conflicts.append(SlotConflict(i, "state", current, value))
-        else:
-            degrees = constraint.value.value
-            for i in slots:
-                current = assignment.temperature[i]
-                if current is None:
-                    assignment.temperature[i] = degrees
-                elif current != degrees:
-                    conflicts.append(SlotConflict(i, "temperature", current, degrees))
+        variable = "state" if constraint.variable is Variable.STATE else "temperature"
+        _force(assignment, variable, zip(slots, repeat(constraint.value.value)), conflicts)
     if conflicts:
         raise ConflictError(conflicts)
     return assignment
@@ -184,20 +189,8 @@ def merge(a: GroundedAssignment, b: GroundedAssignment) -> GroundedAssignment:
         )
     merged = GroundedAssignment(a.horizon, list(a.state), list(a.temperature))
     conflicts: list[SlotConflict] = []
-    for i, value in enumerate(b.state):
-        if value is None:
-            continue
-        if merged.state[i] is None:
-            merged.state[i] = value
-        elif merged.state[i] != value:
-            conflicts.append(SlotConflict(i, "state", merged.state[i], value))
-    for i, degrees in enumerate(b.temperature):
-        if degrees is None:
-            continue
-        if merged.temperature[i] is None:
-            merged.temperature[i] = degrees
-        elif merged.temperature[i] != degrees:
-            conflicts.append(SlotConflict(i, "temperature", merged.temperature[i], degrees))
+    for variable in ("state", "temperature"):
+        _force(merged, variable, enumerate(getattr(b, variable)), conflicts)
     if conflicts:
         raise ConflictError(conflicts)
     return merged

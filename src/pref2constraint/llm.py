@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -75,8 +76,8 @@ class DecodingConfig:
     max_new_tokens: int = 30
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
         if not 0 < self.top_p <= 1:
             raise ConfigError("top_p must be in (0, 1]")
         if self.top_k < 0:

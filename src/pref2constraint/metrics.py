@@ -21,6 +21,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .constraints import Constraint, extract_constraints, render_constraint
 from .dataset import GoldRecord
@@ -108,23 +109,25 @@ def _condition_key(constraint: Constraint):
     return constraint.condition
 
 
+def _mean_ratio(pairs: Iterable[tuple[int, int]]) -> float:
+    """Mean of matched / n_gold over the pairs with n_gold > 0, in order; 0.0 if none."""
+    ratios = [matched / n_gold for matched, n_gold in pairs if n_gold]
+    return sum(ratios) / len(ratios) if ratios else 0.0
+
+
 def _mean_of_ratios(
     gold: list[GoldRecord],
     parsed: dict[str, list[Constraint]],
     key,
 ) -> float:
-    ratios = []
+    pairs = []
     for record in gold:
         if record.id not in parsed:
             raise MissingRecordError(f"no parsed entry for record {record.id!r}")
-        if not record.constraints:
-            continue
         gold_keys = [key(c) for c in record.constraints]
         parsed_keys = [key(c) for c in parsed[record.id]]
-        ratios.append(_max_matching(gold_keys, parsed_keys) / len(gold_keys))
-    if not ratios:
-        return 0.0
-    return sum(ratios) / len(ratios)
+        pairs.append((_max_matching(gold_keys, parsed_keys), len(gold_keys)))
+    return _mean_ratio(pairs)
 
 
 def acc_variables(gold: list[GoldRecord], parsed: dict[str, list[Constraint]]) -> float:
@@ -219,8 +222,7 @@ def evaluate_run(
                 model_id = RunManifest.from_dict(json.load(handle)).model_id
 
     by_id = {record.id: record for record in gold}
-    responses: dict[str, dict[str, str]] = {}  # shot -> record_id -> response
-    shot_order: list[str] = []
+    responses: dict[str, dict[str, str]] = {}  # shot -> record_id -> response, in file order
     with open(outputs_path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
@@ -235,22 +237,20 @@ def evaluate_run(
                 raise MissingGoldError(
                     f"line {line_number}: record id {record_id!r} not in gold dataset"
                 )
-            responses.setdefault(shot, {})
-            if shot not in shot_order:
-                shot_order.append(shot)
-            responses[shot][record_id] = response_text
+            rows = responses.setdefault(shot, {})
+            if record_id in rows:
+                raise CorruptOutputsError(
+                    f"duplicate row for record {record_id!r}, shot {shot!r}", line_number
+                )
+            rows[record_id] = response_text
 
     reports = []
-    for shot in shot_order:
-        rows = responses[shot]
+    for shot, rows in responses.items():
         scored: list[UtteranceScore] = []
-        parsed: dict[str, list[Constraint]] = {}
         pooled = [0] * 6, [0] * 6, [0] * 6
-        for record_id in rows:
+        for record_id, response in rows.items():
             record = by_id[record_id]
-            response = rows[record_id]
             constraints, issues = extract_constraints(response)
-            parsed[record_id] = constraints
             reference = strip_whitespace(gold_reference_string(record))
             hypothesis = strip_whitespace(response)
             if reference and hypothesis:
@@ -278,15 +278,14 @@ def evaluate_run(
                     ),
                 )
             )
-        restricted_gold = [by_id[record_id] for record_id in rows]
         if corpus_chrf:
             shot_chrf = _combine(*pooled, beta)
         else:
             shot_chrf = (
                 sum(u.chrf for u in scored) / len(scored) if scored else 0.0
             )
-        variables = acc_variables(restricted_gold, parsed)
-        conditions = acc_conditions(restricted_gold, parsed)
+        variables = _mean_ratio((u.matched_variables, u.n_gold) for u in scored)
+        conditions = _mean_ratio((u.matched_conditions, u.n_gold) for u in scored)
         reports.append(
             EvalReport(
                 model_id=model_id,

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from importlib import resources
 
-from .dataset import GoldRecord, tag_utterance
+from .dataset import GoldRecord, resource_path, tag_utterance
 from .constraints import render_constraint
 from .errors import Pref2ConstraintError
 
@@ -156,9 +155,7 @@ def get_template(template_id: str) -> PromptTemplate:
 
 
 def _template_text(template: PromptTemplate) -> str:
-    return (
-        resources.files("pref2constraint") / "resources" / "templates" / template.resource
-    ).read_text(encoding="utf-8")
+    return resource_path("templates", template.resource).read_text(encoding="utf-8")
 
 
 def _example_block(template: PromptTemplate, record: GoldRecord) -> str:

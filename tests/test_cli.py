@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pref2constraint.cli import main
+from pref2constraint.llm import manifest_path_for
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +147,16 @@ class TestRunAndEval:
         _, out_b, _ = run_cli(capsys, "run", "--out", str(b), "--json")
         assert json.loads(out_a)["completed"] == json.loads(out_b)["completed"]
         assert a.read_bytes() == b.read_bytes()
+
+    def test_run_rejects_nan_temperature(self, capsys, tmp_path):
+        outputs = tmp_path / "run.jsonl"
+        code, out, err = run_cli(
+            capsys, "run", "--out", str(outputs), "--temperature", "nan", "--shots", "0s"
+        )
+        assert code == 1
+        assert "ConfigError" in err and "temperature" in err
+        assert out == ""
+        assert not outputs.exists() and not manifest_path_for(outputs).exists()
 
     def test_remote_backend_requires_endpoint(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("PREF2CONSTRAINT_ENDPOINT", raising=False)

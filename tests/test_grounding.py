@@ -21,6 +21,7 @@ from pref2constraint.grounding import (
     GroundingError,
     Horizon,
     HorizonMismatchError,
+    SlotConflict,
     ground,
     merge,
 )
@@ -95,6 +96,23 @@ class TestGround:
         assignment = ground([c("s_t = 1 ∀ t ≥ 23:00")], Horizon(30))
         assert assignment.forced_state_slots(1) == {46, 47}
 
+    def test_mixed_conflicts_listed_in_constraint_order(self):
+        constraints = [
+            c("s_t = 1 ∀ t ≤ 02:00"),
+            c("h_t = 20 ∀ t ≤ 01:00"),
+            c("s_t = 0 ∀ 01:00 ≤ t ≤ 02:00"),
+            c("h_t = 21 ∀ t ≤ 00:30"),
+            c("s_t = 0 ∀ t ≤ 00:30"),
+        ]
+        with pytest.raises(ConflictError) as excinfo:
+            ground(constraints, Horizon(30))
+        assert excinfo.value.conflicts == [
+            SlotConflict(2, "state", 1, 0),
+            SlotConflict(3, "state", 1, 0),
+            SlotConflict(0, "temperature", 20.0, 21.0),
+            SlotConflict(0, "state", 1, 0),
+        ]
+
 
 class TestMerge:
     def test_empty_is_identity(self):
@@ -124,6 +142,17 @@ class TestMerge:
         with pytest.raises(ConflictError) as excinfo:
             merge(a, b)
         assert [conflict.slot for conflict in excinfo.value.conflicts] == [14]
+
+    def test_mixed_conflicts_list_state_before_temperature(self):
+        a = ground([c("s_t = 1 ∀ t ≤ 01:00"), c("h_t = 20 ∀ t ≥ 22:00")], Horizon(30))
+        b = ground([c("h_t = 21 ∀ t ≥ 23:00"), c("s_t = 0 ∀ t ≤ 00:30")], Horizon(30))
+        with pytest.raises(ConflictError) as excinfo:
+            merge(a, b)
+        assert excinfo.value.conflicts == [
+            SlotConflict(0, "state", 1, 0),
+            SlotConflict(46, "temperature", 20.0, 21.0),
+            SlotConflict(47, "temperature", 20.0, 21.0),
+        ]
 
     def test_horizon_mismatch(self):
         with pytest.raises(HorizonMismatchError):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from pref2constraint.dataset import pilot_corpus_path
+from pref2constraint.dataset import mock_fixtures_path, pilot_corpus_path
 from pref2constraint.llm import (
     AuthError,
     CompletionRequest,
@@ -47,6 +47,8 @@ class TestDecodingConfig:
             {"top_p": 1.5},
             {"top_k": -1},
             {"max_new_tokens": 0},
+            {"temperature": float("nan")},
+            {"temperature": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
@@ -194,9 +196,7 @@ def pilot_manifest():
 
 
 def shipped_mock_backend():
-    from pref2constraint.cli import _default_mock_fixtures
-
-    return MockBackend.from_file(_default_mock_fixtures())
+    return MockBackend.from_file(mock_fixtures_path())
 
 
 class TestRunExperiment:

@@ -5,7 +5,7 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
-from pref2constraint.constraints import parse_constraint
+from pref2constraint.constraints import extract_constraints, parse_constraint
 from pref2constraint.dataset import GoldRecord
 from pref2constraint.metrics import (
     EmptyInputError,
@@ -240,6 +240,54 @@ class TestEvaluateRun:
         with pytest.raises(CorruptOutputsError) as excinfo:
             evaluate_run(outputs, GOLD, model_id="m")
         assert excinfo.value.line_number == 1
+
+    def test_duplicate_pair_reports_second_line(self, tmp_path):
+        outputs = tmp_path / "run.jsonl"
+        row = {"record_id": "u1", "shot": "0s", "prompt_digest": "x", "response_text": "y"}
+        write_outputs(outputs, [row, {**row, "record_id": "u2"}, {**row, "shot": "1s"}, row])
+        with pytest.raises(CorruptOutputsError, match="duplicate") as excinfo:
+            evaluate_run(outputs, GOLD, model_id="m")
+        assert excinfo.value.line_number == 4
+
+    def test_accuracies_equal_public_functions_on_partial_run(self, tmp_path):
+        gold = [
+            record("u1", "s_t = 1 ∀ 07:00 ≤ t ≤ 08:30", "h_t = 21 ∀ t ≥ 22:00", "s_t = 0 ∀ t ≤ 06:00"),
+            record("u2", "s_t = 0 ∀ t ≤ 06:00"),
+            record("u3"),
+            record("u4", "h_t = 20 ∀ t", "s_t = 1 ∀ t ≥ 18:00"),
+            record("u5", "s_t = 1 ∀ t"),
+        ]
+        responses = {
+            "0s": [
+                ("u4", "h_t = 20 ∀ t ≤ 12:00"),
+                ("u3", "nessun vincolo"),
+                ("u1", "s_t = 1 ∀ 07:00 ≤ t ≤ 08:30\nh_t = 21 ∀ t ≥ 22:00"),
+                ("u2", "s_t = 1 ∀ t ≤ 06:00"),
+            ],
+            "fs": [
+                ("u1", "s_t = 1 ∀ 07:00 ≤ t ≤ 08:30\nh_t = 21 ∀ t ≥ 22:00\ns_t = 0 ∀ t ≤ 06:00"),
+                ("u4", "s_t = 1 ∀ t ≥ 18:00"),
+            ],
+        }
+        outputs = tmp_path / "run.jsonl"
+        write_outputs(
+            outputs,
+            [
+                {"record_id": rid, "shot": shot, "prompt_digest": "x", "response_text": text}
+                for shot, rows in responses.items()
+                for rid, text in rows
+            ],
+        )
+        by_id = {r.id: r for r in gold}
+        reports = evaluate_run(outputs, gold, model_id="m")
+        assert [report.shot for report in reports] == ["0s", "fs"]
+        for report in reports:
+            rows = responses[report.shot]
+            scored_gold = [by_id[rid] for rid, _ in rows]
+            parsed = {rid: extract_constraints(text)[0] for rid, text in rows}
+            assert report.acc_variables == acc_variables(scored_gold, parsed)
+            assert report.acc_conditions == acc_conditions(scored_gold, parsed)
+            assert 0.0 < report.acc_conditions < 1.0
 
     def test_chrf_uses_raw_response_not_extraction(self, tmp_path):
         outputs = tmp_path / "run.jsonl"
