@@ -158,6 +158,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     summary = run_experiment(
         manifest, records, backend, args.out, concurrency=args.concurrency
     )
+    if summary.dropped_tail:
+        print(
+            f"dropped unterminated last line of {args.out}: {summary.dropped_tail!r}",
+            file=sys.stderr,
+        )
     for failure in summary.failures:
         print(
             f"failed: {failure.record_id} [{failure.shot}]: {failure.error}",

@@ -20,14 +20,18 @@ Two entry points with different strictness:
 Both accept "∀"/"forall", "≤"/"<=", "≥"/">=" and the time literals
 ``H``, ``H:MM``, ``H.MM``, ``H,MM`` (dot and comma are common Italian
 minute separators).  The canonical rendering uses "∀", "≤"/"≥" and
-zero-padded ``HH:MM``.
+zero-padded ``HH:MM``.  Both entry points, and the extractor's test for
+output cut off inside a constraint, are built from one token definition;
+``docs/grammar.md`` states it in EBNF.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import Pref2ConstraintError
 
@@ -181,23 +185,95 @@ def check_bounds(constraint: Constraint, bounds: TemperatureBounds = DEFAULT_BOU
             )
 
 
-# Token patterns shared by the strict parser and the lenient extractor.
-# Hours take one or two digits, minutes exactly two; "24:00" is the only
-# valid hour-24 literal.
-_TIME = r"\d{1,2}(?:[:.,]\d{2})?"
-_NUMBER = r"\d+(?:[.,]\d+)?"
-_LE = r"(?:≤|<=)"
-_GE = r"(?:≥|>=)"
+# The constraint grammar, written once.  A token lists its spellings, each
+# a sequence of atoms: the whole-token pattern joins the atoms, and the
+# cut-off pattern matches any prefix of a spelling that the text ends
+# inside.  The guard of a number, time or bare 't' keeps a match from
+# stopping where the text goes on with more of a literal (a digit, or a
+# separator and a digit) or with a comparator, so "t ≤ 8:3" is never read
+# as "t ≤ 8" and "t ≤" never as "t".  Hours take one or two digits,
+# minutes exactly two; "24:00" is the only valid hour-24 literal.
 
-_TIME_RE = re.compile(_TIME)
-_NUMBER_RE = re.compile(_NUMBER)
-_VAR_RE = re.compile(r"[sh]_t")
-_EQ_RE = re.compile(r"=")
-_QUANT_STRICT_RE = re.compile(r"∀|forall")
-_LE_RE = re.compile(_LE)
-_CMP_RE = re.compile(rf"{_LE}|{_GE}")
-_T_RE = re.compile(r"t(?![A-Za-z0-9_])")
-_WS_RE = re.compile(r"\s*")
+
+class _Token(NamedTuple):
+    spellings: tuple[tuple[str, ...], ...]
+    guard: str = ""
+
+    @property
+    def full(self) -> str:
+        return "(?:" + "|".join("".join(atoms) for atoms in self.spellings) + ")" + self.guard
+
+    @property
+    def cut(self) -> str:
+        return "(?:" + "|".join(_nested(atoms) for atoms in self.spellings) + r")\Z"
+
+
+def _nested(atoms: Sequence[str]) -> str:
+    """Pattern for any non-empty prefix of *atoms*: ``a(?:b(?:c)?)?``."""
+    head, *rest = atoms
+    return f"{head}(?:{_nested(rest)})?" if rest else head
+
+
+_LITERAL_ENDS = r"(?![:.,]?\d)"
+_VAR = _Token((("[sh]", "_", "t"),))
+_EQ = _Token((("=",),))
+_NUMBER = _Token(((r"\d+", "[.,]", r"\d+"), (r"\d+",)), _LITERAL_ENDS)
+_TIME = _Token(((r"\d{1,2}", "[:.,]", r"\d", r"\d"), (r"\d{1,2}",)), _LITERAL_ENDS)
+_LE = _Token((("≤",), ("<", "=")))
+_GE = _Token((("≥",), (">", "=")))
+_T = _Token((("t",),), "(?![A-Za-z0-9_])")
+_BARE_T = _Token(_T.spellings, _T.guard + r"(?!\s*[<>≤≥])")
+
+# Condition forms, longest first.  A form's time literals are, in order,
+# the arguments of its condition class.
+_FORMS: tuple[tuple[type, tuple[_Token, ...]], ...] = (
+    (Range, (_TIME, _LE, _T, _LE, _TIME)),
+    (From, (_T, _GE, _TIME)),
+    (Until, (_T, _LE, _TIME)),
+    (All, (_BARE_T,)),
+)
+
+
+def _grammar(
+    quantifier: _Token, flags: int = 0
+) -> tuple[re.Pattern[str], tuple[re.Pattern[str], ...]]:
+    """Compile the whole-constraint pattern and one prefix pattern per form.
+
+    Tokens are separated by optional whitespace.  The whole pattern
+    captures ``var``, ``val`` and the condition, named after its class.  A
+    prefix pattern always matches: the longest run of whole tokens of its
+    form, plus a cut-off last token when the text ends inside one.
+    """
+    sep = r"\s*"
+    head = (_VAR, _EQ, _NUMBER, quantifier)
+    whole = sep.join(
+        ("", f"(?P<var>{_VAR.full})", _EQ.full, f"(?P<val>{_NUMBER.full})", quantifier.full)
+    )
+    forms = "|".join(
+        f"(?P<{cls.__name__}>{sep.join(token.full for token in tokens)})"
+        for cls, tokens in _FORMS
+    )
+    prefixes = (
+        sep + "(?:" + _nested([f"(?:{t.full}{sep}|{t.cut})" for t in head + tokens]) + ")?"
+        for _, tokens in _FORMS
+    )
+    return (
+        re.compile(f"{whole}{sep}(?:{forms})", flags),
+        tuple(re.compile(prefix, flags) for prefix in prefixes),
+    )
+
+
+# Strict spelling for curated data; the lenient one adds "for all" and any
+# letter case for model output.
+_STRICT_RE, _STRICT_PREFIXES = _grammar(_Token((("∀",), tuple("forall"))))
+_LENIENT_RE, _LENIENT_PREFIXES = _grammar(
+    _Token((("∀",), ("f", "o", "r", r"\s*", "a", "l", "l"))), re.IGNORECASE
+)
+# Where the extractor looks for candidates: a variable followed by '=',
+# in lower case, so the lenient letter case applies from the quantifier on.
+_ANCHOR_RE = re.compile(rf"{_VAR.full}\s*{_EQ.full}")
+_TIME_LITERALS = re.compile(_TIME.full)
+_CONDITION_CLASSES = {cls.__name__: cls for cls, _ in _FORMS}
 
 
 def _parse_time_literal(text: str, position: int) -> TimePoint:
@@ -223,90 +299,40 @@ def _parse_value_literal(variable: Variable, text: str) -> ConstraintValue:
     return Degrees(float(text.replace(",", ".")))
 
 
-class _Cursor:
-    """Minimal scanning cursor: match expected token patterns at a position."""
-
-    def __init__(self, text: str, pos: int = 0):
-        self.text = text
-        self.pos = pos
-
-    def skip_ws(self) -> None:
-        self.pos = _WS_RE.match(self.text, self.pos).end()
-
-    def take(self, pattern: re.Pattern[str]) -> str | None:
-        m = pattern.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        return m.group()
-
-    def expect(self, pattern: re.Pattern[str], what: str) -> str:
-        token = self.take(pattern)
-        if token is None:
-            raise ConstraintSyntaxError(f"expected {what}", self.pos)
-        return token
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-
-def _parse_condition(cur: _Cursor) -> TimeCondition:
-    """COND ::= TIME LE t LE TIME | t GE TIME | t LE TIME | t"""
-    cur.skip_ws()
-    start_pos = cur.pos
-    if cur.take(_T_RE) is not None:
-        cur.skip_ws()
-        op = cur.take(_CMP_RE)
-        if op is None:
-            return All()
-        cur.skip_ws()
-        time_pos = cur.pos
-        literal = cur.expect(_TIME_RE, "a time literal")
-        point = _parse_time_literal(literal, time_pos)
-        if op in ("≥", ">="):
-            return From(point)
-        return Until(point)
-    first_pos = cur.pos
-    first = cur.take(_TIME_RE)
-    if first is None:
-        raise ConstraintSyntaxError("expected 't' or a time literal", start_pos)
-    start = _parse_time_literal(first, first_pos)
-    cur.skip_ws()
-    cur.expect(_LE_RE, "'≤' or '<='")
-    cur.skip_ws()
-    cur.expect(_T_RE, "'t'")
-    cur.skip_ws()
-    cur.expect(_LE_RE, "'≤' or '<='")
-    cur.skip_ws()
-    second_pos = cur.pos
-    second = cur.expect(_TIME_RE, "a time literal")
-    return Range(start, _parse_time_literal(second, second_pos))
+def _constraint_from_match(m: re.Match[str], bounds: TemperatureBounds) -> Constraint:
+    """Interpret a whole-constraint match of either spelling."""
+    variable = Variable(m.group("var").lower())
+    value = _parse_value_literal(variable, m.group("val"))
+    # The condition group is the last one to close, and the only digits in
+    # it are its time literals, in order.
+    form = m.lastgroup
+    times = [
+        _parse_time_literal(t.group(), t.start())
+        for t in _TIME_LITERALS.finditer(m.string, m.start(form), m.end(form))
+    ]
+    constraint = Constraint(variable, value, _CONDITION_CLASSES[form](*times))
+    check_bounds(constraint, bounds)
+    return constraint
 
 
 def parse_constraint(text: str, bounds: TemperatureBounds = DEFAULT_BOUNDS) -> Constraint:
     """Parse a single constraint string under the strict grammar.
 
-    Raises ConstraintSyntaxError (with position), PairingError, or
-    RangeError.  Whitespace between tokens is optional.
+    The whole string must be one constraint; whitespace around and between
+    tokens is optional.  Raises ConstraintSyntaxError (with position) when
+    the grammar does not match, else PairingError or RangeError.
     """
-    cur = _Cursor(text)
-    cur.skip_ws()
-    var_token = cur.expect(_VAR_RE, "'s_t' or 'h_t'")
-    variable = Variable(var_token)
-    cur.skip_ws()
-    cur.expect(_EQ_RE, "'='")
-    cur.skip_ws()
-    value_token = cur.expect(_NUMBER_RE, "a numeric value")
-    value = _parse_value_literal(variable, value_token)
-    cur.skip_ws()
-    cur.expect(_QUANT_STRICT_RE, "'∀' or 'forall'")
-    condition = _parse_condition(cur)
-    cur.skip_ws()
-    if not cur.at_end():
-        raise ConstraintSyntaxError("unexpected trailing text", cur.pos)
-    constraint = Constraint(variable, value, condition)
-    check_bounds(constraint, bounds)
-    return constraint
+    m = _STRICT_RE.match(text)
+    if m is None or text[m.end() :].strip():
+        position = max(prefix.match(text).end() for prefix in _STRICT_PREFIXES)
+        if m is not None:
+            message = "unexpected trailing text"
+        elif position == len(text):
+            message = "unexpected end of text"
+        else:
+            message = "text does not follow the constraint grammar"
+        raise ConstraintSyntaxError(message, position)
+    return _constraint_from_match(m, bounds)
 
 
 def render_condition(condition: TimeCondition) -> str:
@@ -351,58 +377,12 @@ class ExtractionIssue:
     detail: str
 
 
-# Lenient candidate: same grammar, but any quantifier spelling and with the
-# condition alternatives ordered longest-first so a bare 't' never steals
-# the 't' of 't ≤ TIME'.
-_LENIENT_RE = re.compile(
-    rf"""
-    (?P<var>[sh]_t) \s* = \s* (?P<val>{_NUMBER}) \s*
-    (?:∀|forall|for\s+all) \s*
-    (?P<cond>
-        (?P<r1>{_TIME}) \s* {_LE} \s* t \s* {_LE} \s* (?P<r2>{_TIME})
-      | t \s* {_GE} \s* (?P<f1>{_TIME})
-      | t \s* {_LE} \s* (?P<u1>{_TIME})
-      | t (?![A-Za-z0-9_])
-    )
-    """,
-    re.VERBOSE | re.IGNORECASE,
-)
-
-# Prefix of a constraint that runs into end-of-text: used to tell apart
-# generation truncation (e.g. the 30-token cap) from plain noise.
-_TRUNCATED_RE = re.compile(
-    rf"""
-    [sh]_t \s* (?: = \s* (?:{_NUMBER} \s*
-        (?:(?:∀|forall|for\s+all) \s*
-            (?: {_TIME} \s* {_LE} \s* t \s* (?:{_LE} \s*)?
-              | t \s* (?:{_LE}|{_GE}) \s*
-              | f(?:o(?:r(?:a(?:l)?)?)?)?
-            )?
-        )?
-    )?)? \s* $
-    """,
-    re.VERBOSE | re.IGNORECASE,
-)
-
-_ANCHOR_RE = re.compile(r"[sh]_t\s*=")
-
-
-def _constraint_from_match(m: re.Match[str], bounds: TemperatureBounds) -> Constraint:
-    variable = Variable(m.group("var").lower())
-    value = _parse_value_literal(variable, m.group("val"))
-    if m.group("r1") is not None:
-        start = _parse_time_literal(m.group("r1"), m.start("r1"))
-        end = _parse_time_literal(m.group("r2"), m.start("r2"))
-        condition: TimeCondition = Range(start, end)
-    elif m.group("f1") is not None:
-        condition = From(_parse_time_literal(m.group("f1"), m.start("f1")))
-    elif m.group("u1") is not None:
-        condition = Until(_parse_time_literal(m.group("u1"), m.start("u1")))
-    else:
-        condition = All()
-    constraint = Constraint(variable, value, condition)
-    check_bounds(constraint, bounds)
-    return constraint
+# Issue kind for each error that interpreting a whole match can raise.
+_ISSUE_KINDS = {
+    PairingError: IssueKind.PAIRING,
+    RangeError: IssueKind.RANGE,
+    ConstraintSyntaxError: IssueKind.MALFORMED,
+}
 
 
 def extract_constraints(
@@ -423,42 +403,22 @@ def extract_constraints(
         if full is not None:
             try:
                 constraints.append(_constraint_from_match(full, bounds))
-            except PairingError as exc:
-                issues.append(
-                    ExtractionIssue(start, full.end(), full.group(), IssueKind.PAIRING, str(exc))
-                )
-            except RangeError as exc:
-                issues.append(
-                    ExtractionIssue(start, full.end(), full.group(), IssueKind.RANGE, str(exc))
-                )
-            except ConstraintSyntaxError as exc:
-                issues.append(
-                    ExtractionIssue(start, full.end(), full.group(), IssueKind.MALFORMED, str(exc))
-                )
+            except (PairingError, RangeError, ConstraintSyntaxError) as exc:
+                kind = _ISSUE_KINDS[type(exc)]
+                issues.append(ExtractionIssue(start, full.end(), full.group(), kind, str(exc)))
             pos = full.end()
-            continue
-        if _TRUNCATED_RE.match(model_output, start) is not None:
+        elif any(prefix.fullmatch(model_output, start) for prefix in _LENIENT_PREFIXES):
             snippet = model_output[start:]
+            detail = "candidate cut off at end of output"
             issues.append(
-                ExtractionIssue(
-                    start,
-                    len(model_output),
-                    snippet,
-                    IssueKind.TRUNCATED,
-                    "candidate cut off at end of output",
-                )
+                ExtractionIssue(start, len(model_output), snippet, IssueKind.TRUNCATED, detail)
             )
-            pos = len(model_output)
-            continue
-        snippet = model_output[start : start + 40]
-        issues.append(
-            ExtractionIssue(
-                start,
-                start + len(snippet),
-                snippet,
-                IssueKind.MALFORMED,
-                "candidate does not match the constraint grammar",
+            break
+        else:
+            snippet = model_output[start : start + 40]
+            detail = "candidate does not match the constraint grammar"
+            issues.append(
+                ExtractionIssue(start, start + len(snippet), snippet, IssueKind.MALFORMED, detail)
             )
-        )
-        pos = anchor.end()
+            pos = anchor.end()
     return constraints, issues

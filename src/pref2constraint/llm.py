@@ -300,18 +300,31 @@ class RunSummary:
     completed: int = 0
     skipped: int = 0
     failures: list[RunFailure] = field(default_factory=list)
+    dropped_tail: str = ""  # unterminated last line cut from the outputs file
 
 
-def _existing_pairs(outputs_path: Path) -> set[tuple[str, str]]:
+def _existing_pairs(outputs_path: Path) -> tuple[set[tuple[str, str]], str]:
+    """Pairs already in the outputs file, and the torn last line cut from it.
+
+    A run killed mid-write leaves an unterminated last line.  The file is
+    cut back to its last complete line, so that pair is completed again
+    and new lines are not appended to the fragment.
+    """
     pairs: set[tuple[str, str]] = set()
     if not outputs_path.exists():
-        return pairs
-    with open(outputs_path, encoding="utf-8") as handle:
-        for line in handle:
+        return pairs, ""
+    with open(outputs_path, "rb+") as handle:
+        complete = 0  # bytes up to the end of the last complete line
+        for raw in handle:
+            if not raw.endswith(b"\n"):
+                handle.truncate(complete)
+                return pairs, raw.decode("utf-8", errors="replace")
+            complete += len(raw)
+            line = raw.decode("utf-8")
             if line.strip():
                 row = json.loads(line)
                 pairs.add((row["record_id"], row["shot"]))
-    return pairs
+    return pairs, ""
 
 
 def run_experiment(
@@ -335,8 +348,8 @@ def run_experiment(
         raise ManifestMismatchError(
             f"dataset file {manifest.dataset_path} changed since the manifest was built"
         )
-    done = _existing_pairs(outputs_path)
-    summary = RunSummary(skipped=len(done))
+    done, dropped_tail = _existing_pairs(outputs_path)
+    summary = RunSummary(skipped=len(done), dropped_tail=dropped_tail)
 
     work: list[tuple[str, str, str]] = []  # (record_id, shot label, prompt)
     for record in records:

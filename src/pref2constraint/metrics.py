@@ -233,6 +233,10 @@ def evaluate_run(
                 response_text = row["response_text"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise CorruptOutputsError(f"bad outputs line: {exc}", line_number) from exc
+            if not all(isinstance(v, str) for v in (record_id, shot, response_text)):
+                raise CorruptOutputsError(
+                    "record_id, shot and response_text must be strings", line_number
+                )
             if record_id not in by_id:
                 raise MissingGoldError(
                     f"line {line_number}: record id {record_id!r} not in gold dataset"

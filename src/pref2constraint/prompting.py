@@ -9,6 +9,7 @@ so prompts are byte-stable and easy to pin in golden-file tests.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -154,6 +155,7 @@ def get_template(template_id: str) -> PromptTemplate:
         ) from None
 
 
+@functools.cache
 def _template_text(template: PromptTemplate) -> str:
     return resource_path("templates", template.resource).read_text(encoding="utf-8")
 

@@ -141,6 +141,14 @@ class TestRunAndEval:
             "0s", "1s", "fs",
         }
 
+    def test_run_reports_dropped_torn_line(self, capsys, tmp_path):
+        outputs = tmp_path / "run.jsonl"
+        outputs.write_text('{"record_id": "u0', "utf-8")
+        code, out, err = run_cli(capsys, "run", "--out", str(outputs), "--json")
+        assert code == 0
+        assert json.loads(out)["completed"] == 78
+        assert "dropped" in err and '{"record_id": "u0' in err
+
     def test_identical_stdout_across_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         _, out_a, _ = run_cli(capsys, "run", "--out", str(a), "--json")

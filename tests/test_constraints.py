@@ -92,14 +92,29 @@ class TestStrictParse:
         with pytest.raises(ConstraintSyntaxError):
             parse_constraint("s_t = 1 ∀ t ≤ 8,75")
 
-    @pytest.mark.parametrize(
-        "text",
-        ["", "s_t", "s_t = 1", "x_t = 1 ∀ t", "s_t = 1 ∀ banana", "s_t = 1 ∀ t extra"],
-    )
+    SYNTAX_ERROR_POSITIONS = {
+        "": 0,
+        "s_t": 3,
+        "s_t = 1": 7,
+        "x_t = 1 ∀ t": 0,
+        "s_t = 1 ∀ banana": 10,
+        "s_t = 1 ∀ t extra": 12,
+        "s_t = 1 for all t": 8,
+        "S_T = 1 ∀ t": 0,
+        "s_t = 1 ∀ t ≤": 13,
+    }
+
+    @pytest.mark.parametrize("text", SYNTAX_ERROR_POSITIONS)
     def test_syntax_errors_carry_position(self, text):
         with pytest.raises(ConstraintSyntaxError) as excinfo:
             parse_constraint(text)
-        assert excinfo.value.position >= 0
+        assert excinfo.value.position == self.SYNTAX_ERROR_POSITIONS[text]
+
+    def test_grammar_decides_before_pairing(self):
+        # Two faults: a state value of 2 and no condition.  The grammar is
+        # checked first, so the syntax error wins.
+        with pytest.raises(ConstraintSyntaxError):
+            parse_constraint("s_t = 2 ∀ banana")
 
     def test_mixed_comparator_spellings(self):
         a = parse_constraint("s_t = 1 ∀ 7 <= t ≤ 8,30")
@@ -224,6 +239,43 @@ class TestExtract:
         constraints, issues = extract_constraints("s_t = 1 ∀ 09:00 ≤ t ≤")
         assert constraints == []
         assert [issue.kind for issue in issues] == [IssueKind.TRUNCATED]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the cut-off responses in the shipped mock fixtures
+            "s_t = 1 ∀ ",
+            "h_t = 45 ∀",
+            "s_t = 0 ∀ 12:00 ",
+            "s_t = 1 ∀ 11:45 ",
+            "s_t = 1 ∀ 05:00 ",
+            "s_t = 0 ∀ 18:00 ",
+            "h_t = 23 ∀ 12:15",
+            # cut inside the quantifier or after the first time of an interval
+            "s_t = 1 for",
+            "s_t = 1 fora",
+            "s_t = 1 for al",
+            "s_t = 1 ∀ 07",
+            "s_t = 1 ∀ 07:00 ≤",
+            # cut after a comparator or inside a number or time: no shorter constraint
+            "s_t = 1 ∀ t ≤",
+            "s_t = 1 ∀ t <",
+            "s_t = 1 ∀ 07:00 ≤ t ≤ 08:3",
+            "h_t = 19,",
+        ],
+    )
+    def test_cut_off_output_is_truncated(self, text):
+        constraints, issues = extract_constraints("ecco: " + text)
+        assert constraints == []
+        assert [issue.kind for issue in issues] == [IssueKind.TRUNCATED]
+
+    @pytest.mark.parametrize(
+        "text", ["s_t = 1 ∀ t ≤ , poi", "s_t = 1 ∀ t ≤ 8:3 circa", "s_t = 1 ∀ t ≥ 123"]
+    )
+    def test_comparator_or_digit_after_token_is_malformed(self, text):
+        constraints, issues = extract_constraints(text)
+        assert constraints == []
+        assert [issue.kind for issue in issues] == [IssueKind.MALFORMED]
 
     def test_truncated_mid_value(self):
         constraints, issues = extract_constraints("ecco: s_t =")

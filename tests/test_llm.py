@@ -21,6 +21,7 @@ from pref2constraint.llm import (
     prompt_digest,
     run_experiment,
 )
+from pref2constraint.metrics import evaluate_run
 
 MOCK_FIXTURES = {prompt_digest("ciao"): "risposta fissa"}
 
@@ -217,6 +218,24 @@ class TestRunExperiment:
         summary = run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
         assert summary.completed == 0 and summary.skipped == 78
         assert outputs.read_bytes() == before
+
+    def test_resume_completes_torn_last_line(self, pilot_manifest, pilot_records, tmp_path):
+        outputs = tmp_path / "run.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        full = outputs.read_bytes()
+        first, second = full.split(b"\n")[:2]
+        outputs.write_bytes(first + b"\n" + second[:20])
+        summary = run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert summary.skipped == 1 and summary.completed == 77
+        assert summary.dropped_tail == second[:20].decode("utf-8")
+        assert outputs.read_bytes() == full
+        assert [r.n_utterances for r in evaluate_run(outputs, pilot_records)] == [26, 26, 26]
+
+    def test_resume_rejects_corrupt_complete_line(self, pilot_manifest, pilot_records, tmp_path):
+        outputs = tmp_path / "run.jsonl"
+        outputs.write_text("not json\n", "utf-8")
+        with pytest.raises(ValueError):
+            run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
 
     def test_bit_reproducible(self, pilot_manifest, pilot_records, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -241,6 +241,17 @@ class TestEvaluateRun:
             evaluate_run(outputs, GOLD, model_id="m")
         assert excinfo.value.line_number == 1
 
+    @pytest.mark.parametrize(
+        "field,value", [("record_id", ["u1"]), ("shot", ["0s"]), ("response_text", 3)]
+    )
+    def test_wrongly_typed_field_reports_number(self, tmp_path, field, value):
+        outputs = tmp_path / "run.jsonl"
+        row = {"record_id": "u1", "shot": "0s", "prompt_digest": "x", "response_text": "y"}
+        write_outputs(outputs, [row, {**row, "shot": "1s", field: value}])
+        with pytest.raises(CorruptOutputsError) as excinfo:
+            evaluate_run(outputs, GOLD, model_id="m")
+        assert excinfo.value.line_number == 2
+
     def test_duplicate_pair_reports_second_line(self, tmp_path):
         outputs = tmp_path / "run.jsonl"
         row = {"record_id": "u1", "shot": "0s", "prompt_digest": "x", "response_text": "y"}
