@@ -24,6 +24,7 @@ from .dataset import load_dataset, mock_fixtures_path, pilot_corpus_path, tag_ut
 from .errors import Pref2ConstraintError
 from .grounding import Horizon, ground
 from .llm import (
+    DEFAULT_CONCURRENCY,
     DecodingConfig,
     MockBackend,
     OpenAICompatBackend,
@@ -33,6 +34,7 @@ from .llm import (
 from .metrics import evaluate_run, render_table, reports_to_json
 from .prompting import (
     DEFAULT_TEMPLATE_ID,
+    MAX_FEW_SHOT,
     PromptSpec,
     ShotSetting,
     build_prompt,
@@ -260,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    decoding = DecodingConfig()  # run's decoding flags default to the library's
 
     def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="corpus path (default: shipped pilot corpus)")
     p.add_argument("--target-id", required=True)
     p.add_argument("--shot", choices=["0s", "1s", "fs"], default="0s")
-    p.add_argument("--k", type=int, default=5, help="examples in the fs setting")
+    p.add_argument("--k", type=int, default=MAX_FEW_SHOT, help="examples in the fs setting")
     p.add_argument("--template", default=DEFAULT_TEMPLATE_ID)
     p.add_argument("--seed", type=int, default=0)
 
@@ -291,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--api-key", help="remote API key (or env/config)")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--shots", default="0s,1s,fs", help="comma-separated shot labels")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int, default=MAX_FEW_SHOT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--template", default=DEFAULT_TEMPLATE_ID)
-    p.add_argument("--concurrency", type=int, default=4)
-    p.add_argument("--temperature", type=float, default=0.1)
-    p.add_argument("--top-k", type=int, default=20)
-    p.add_argument("--top-p", type=float, default=0.9)
-    p.add_argument("--max-new-tokens", type=int, default=30)
+    p.add_argument("--concurrency", type=int, default=DEFAULT_CONCURRENCY)
+    p.add_argument("--temperature", type=float, default=decoding.temperature)
+    p.add_argument("--top-k", type=int, default=decoding.top_k)
+    p.add_argument("--top-p", type=float, default=decoding.top_p)
+    p.add_argument("--max-new-tokens", type=int, default=decoding.max_new_tokens)
 
     p = add("eval", cmd_eval, "score an outputs file against gold")
     p.add_argument("--outputs", required=True)
@@ -334,10 +337,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except Pref2ConstraintError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (Pref2ConstraintError, OSError, json.JSONDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -270,8 +270,8 @@ _LENIENT_RE, _LENIENT_PREFIXES = _grammar(
     _Token((("∀",), ("f", "o", "r", r"\s*", "a", "l", "l"))), re.IGNORECASE
 )
 # Where the extractor looks for candidates: a variable followed by '=',
-# in lower case, so the lenient letter case applies from the quantifier on.
-_ANCHOR_RE = re.compile(rf"{_VAR.full}\s*{_EQ.full}")
+# in any letter case, like the lenient pattern that reads from there.
+_ANCHOR_RE = re.compile(rf"{_VAR.full}\s*{_EQ.full}", re.IGNORECASE)
 _TIME_LITERALS = re.compile(_TIME.full)
 _CONDITION_CLASSES = {cls.__name__: cls for cls, _ in _FORMS}
 

@@ -8,9 +8,10 @@ drift shows up as a missing fixture digest.
 
 ``run_experiment`` walks dataset × shot settings, appends one JSONL line
 per completion ({record_id, shot, prompt_digest, response_text}), skips
-pairs already present in the outputs file, and writes a manifest next to
+pairs already present in the outputs file, and keeps a manifest next to
 the outputs.  A failed completion is recorded and skipped; it never aborts
-the remaining items.
+the remaining items.  Resume and evaluation read the run back through
+``parse_outputs`` and ``read_manifest``: only this module knows its format.
 """
 
 from __future__ import annotations
@@ -20,16 +21,19 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 import requests
 
 from .dataset import GoldRecord
 from .errors import Pref2ConstraintError
-from .prompting import PromptSpec, ShotSetting, build_prompt, select_examples
+from .prompting import MAX_FEW_SHOT, PromptSpec, ShotSetting, build_prompt, select_examples
+
+
+DEFAULT_CONCURRENCY = 4  # completion requests in flight in run_experiment
 
 
 class BackendError(Pref2ConstraintError):
@@ -66,6 +70,12 @@ class ManifestMismatchError(Pref2ConstraintError):
 
 class ConfigError(Pref2ConstraintError, ValueError):
     pass
+
+
+class CorruptOutputsError(Pref2ConstraintError, ValueError):
+    def __init__(self, message: str, line_number: int):
+        super().__init__(f"line {line_number}: {message}")
+        self.line_number = line_number
 
 
 @dataclass(frozen=True)
@@ -242,7 +252,7 @@ class RunManifest:
         model_id: str,
         decoding: DecodingConfig = DecodingConfig(),
         seed: int = 0,
-        few_shot_k: int = 5,
+        few_shot_k: int = MAX_FEW_SHOT,
     ) -> "RunManifest":
         return cls(
             dataset_path=str(dataset_path),
@@ -265,7 +275,6 @@ class RunManifest:
     def to_dict(self) -> dict:
         data = asdict(self)
         data["shot_labels"] = list(self.shot_labels)
-        data["decoding"] = asdict(self.decoding)
         return data
 
     @classmethod
@@ -303,28 +312,57 @@ class RunSummary:
     dropped_tail: str = ""  # unterminated last line cut from the outputs file
 
 
-def _existing_pairs(outputs_path: Path) -> tuple[set[tuple[str, str]], str]:
+def read_manifest(outputs_path: str | Path) -> RunManifest | None:
+    """The manifest kept next to an outputs file, or None if there is none."""
+    manifest_file = manifest_path_for(outputs_path)
+    if not manifest_file.exists():
+        return None
+    return RunManifest.from_dict(json.loads(manifest_file.read_text("utf-8")))
+
+
+def parse_outputs(lines: Iterable[bytes]) -> dict[tuple[str, str], tuple[int, str]]:
+    """{(record_id, shot): (line number, response_text)} of outputs lines, in order.
+
+    Blank lines are skipped.  The first line that is not UTF-8 JSON with string
+    ``record_id``, ``shot`` and ``response_text``, or that repeats a (record,
+    shot) pair, raises CorruptOutputsError.
+    """
+    rows: dict[tuple[str, str], tuple[int, str]] = {}
+    for line_number, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
+            data = json.loads(line)
+            record_id, shot, text = data["record_id"], data["shot"], data["response_text"]
+            if not all(isinstance(value, str) for value in (record_id, shot, text)):
+                raise TypeError("record_id, shot and response_text must be strings")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptOutputsError(f"bad outputs line: {exc}", line_number) from exc
+        if (record_id, shot) in rows:
+            raise CorruptOutputsError(
+                f"duplicate row for record {record_id!r}, shot {shot!r}", line_number
+            )
+        rows[record_id, shot] = line_number, text
+    return rows
+
+
+def _resume(outputs_path: Path) -> tuple[set[tuple[str, str]], str]:
     """Pairs already in the outputs file, and the torn last line cut from it.
 
-    A run killed mid-write leaves an unterminated last line.  The file is
-    cut back to its last complete line, so that pair is completed again
-    and new lines are not appended to the fragment.
+    A run killed mid-write leaves an unterminated last line.  Once the lines
+    before it parse, it is cut off, so its pair is completed again and new
+    lines are not appended to the fragment.
     """
-    pairs: set[tuple[str, str]] = set()
     if not outputs_path.exists():
-        return pairs, ""
+        return set(), ""
     with open(outputs_path, "rb+") as handle:
-        complete = 0  # bytes up to the end of the last complete line
-        for raw in handle:
-            if not raw.endswith(b"\n"):
-                handle.truncate(complete)
-                return pairs, raw.decode("utf-8", errors="replace")
-            complete += len(raw)
-            line = raw.decode("utf-8")
-            if line.strip():
-                row = json.loads(line)
-                pairs.add((row["record_id"], row["shot"]))
-    return pairs, ""
+        lines = handle.readlines()
+        torn = lines.pop() if lines and not lines[-1].endswith(b"\n") else b""
+        done = set(parse_outputs(lines))
+        if torn:
+            handle.truncate(handle.tell() - len(torn))
+    return done, torn.decode("utf-8", errors="replace")
 
 
 def run_experiment(
@@ -332,7 +370,7 @@ def run_experiment(
     records: list[GoldRecord],
     backend: Backend,
     outputs_path: str | Path,
-    concurrency: int = 4,
+    concurrency: int = DEFAULT_CONCURRENCY,
     retries: int = 3,
     sleep: Callable[[float], None] = time.sleep,
 ) -> RunSummary:
@@ -340,7 +378,9 @@ def run_experiment(
 
     Requests may run concurrently, but lines are written in deterministic
     (record, shot) order by a single writer, so reruns with the mock
-    backend are byte-reproducible.
+    backend are byte-reproducible; each line is flushed as it is written.
+    A manifest already next to the outputs must equal ``manifest`` but for
+    its timestamp, and is kept; otherwise ``manifest`` is written first.
     """
     outputs_path = Path(outputs_path)
     current_hash = file_sha256(manifest.dataset_path)
@@ -348,7 +388,10 @@ def run_experiment(
         raise ManifestMismatchError(
             f"dataset file {manifest.dataset_path} changed since the manifest was built"
         )
-    done, dropped_tail = _existing_pairs(outputs_path)
+    existing = read_manifest(outputs_path)
+    if existing is not None and replace(existing, timestamp=manifest.timestamp) != manifest:
+        raise ManifestMismatchError(f"{outputs_path} was run with another configuration")
+    done, dropped_tail = _resume(outputs_path)
     summary = RunSummary(skipped=len(done), dropped_tail=dropped_tail)
 
     work: list[tuple[str, str, str]] = []  # (record_id, shot label, prompt)
@@ -370,6 +413,10 @@ def run_experiment(
             return exc
 
     outputs_path.parent.mkdir(parents=True, exist_ok=True)
+    if existing is None:
+        with open(manifest_path_for(outputs_path), "w", encoding="utf-8") as handle:
+            json.dump(manifest.to_dict(), handle, ensure_ascii=False, indent=2)
+            handle.write("\n")
     with open(outputs_path, "a", encoding="utf-8") as out, ThreadPoolExecutor(
         max_workers=max(1, concurrency)
     ) as pool:
@@ -384,9 +431,6 @@ def run_experiment(
                 "response_text": result.text,
             }
             out.write(json.dumps(line, ensure_ascii=False) + "\n")
+            out.flush()
             summary.completed += 1
-
-    with open(manifest_path_for(outputs_path), "w", encoding="utf-8") as handle:
-        json.dump(manifest.to_dict(), handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
     return summary

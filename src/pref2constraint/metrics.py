@@ -26,7 +26,8 @@ from typing import Iterable
 from .constraints import Constraint, extract_constraints, render_constraint
 from .dataset import GoldRecord
 from .errors import Pref2ConstraintError
-from .llm import RunManifest, manifest_path_for
+# CorruptOutputsError lives in llm, which owns the run format, and is re-exported here.
+from .llm import CorruptOutputsError, parse_outputs, read_manifest  # noqa: F401
 
 
 class MetricsError(Pref2ConstraintError):
@@ -43,12 +44,6 @@ class MissingRecordError(MetricsError):
 
 class MissingGoldError(MetricsError):
     pass
-
-
-class CorruptOutputsError(MetricsError):
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 def _ngram_counts(text: str, n: int) -> Counter:
@@ -213,40 +208,19 @@ def evaluate_run(
     constraints.  With ``corpus_chrf`` the n-gram counts are pooled over
     utterances instead of averaging per-utterance scores.
     """
-    outputs_path = Path(outputs_path)
     if model_id is None:
-        model_id = "unknown"
-        manifest_file = manifest_path_for(outputs_path)
-        if manifest_file.exists():
-            with open(manifest_file, encoding="utf-8") as handle:
-                model_id = RunManifest.from_dict(json.load(handle)).model_id
+        manifest = read_manifest(outputs_path)
+        model_id = manifest.model_id if manifest else "unknown"
 
     by_id = {record.id: record for record in gold}
     responses: dict[str, dict[str, str]] = {}  # shot -> record_id -> response, in file order
-    with open(outputs_path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                record_id, shot = row["record_id"], row["shot"]
-                response_text = row["response_text"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise CorruptOutputsError(f"bad outputs line: {exc}", line_number) from exc
-            if not all(isinstance(v, str) for v in (record_id, shot, response_text)):
-                raise CorruptOutputsError(
-                    "record_id, shot and response_text must be strings", line_number
-                )
+    with open(outputs_path, "rb") as handle:
+        for (record_id, shot), (line_number, text) in parse_outputs(handle).items():
             if record_id not in by_id:
                 raise MissingGoldError(
                     f"line {line_number}: record id {record_id!r} not in gold dataset"
                 )
-            rows = responses.setdefault(shot, {})
-            if record_id in rows:
-                raise CorruptOutputsError(
-                    f"duplicate row for record {record_id!r}, shot {shot!r}", line_number
-                )
-            rows[record_id] = response_text
+            responses.setdefault(shot, {})[record_id] = text
 
     reports = []
     for shot, rows in responses.items():

@@ -1,9 +1,11 @@
+import inspect
 import json
 
 import pytest
 
-from pref2constraint.cli import main
-from pref2constraint.llm import manifest_path_for
+from pref2constraint.cli import build_parser, main
+from pref2constraint.llm import DecodingConfig, RunManifest, manifest_path_for, run_experiment
+from pref2constraint.prompting import MAX_FEW_SHOT
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +167,32 @@ class TestRunAndEval:
         assert "ConfigError" in err and "temperature" in err
         assert out == ""
         assert not outputs.exists() and not manifest_path_for(outputs).exists()
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["not json", '{"record_id": "u02", "shot": "0s"}'],
+        ids=["bad-json", "missing-field"],
+    )
+    def test_run_into_corrupt_outputs_names_the_line(self, capsys, tmp_path, bad_line):
+        outputs = tmp_path / "run.jsonl"
+        good = {"record_id": "u01", "shot": "0s", "prompt_digest": "x", "response_text": "y"}
+        outputs.write_text(json.dumps(good) + "\n" + bad_line + "\n", "utf-8")
+        code, out, err = run_cli(capsys, "run", "--out", str(outputs))
+        assert code == 1 and out == ""
+        assert err.startswith("CorruptOutputsError: line 2: ")
+        assert "Traceback" not in err
+
+    def test_run_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        run = parser.parse_args(["run", "--out", "run.jsonl"])
+        decoding = DecodingConfig()
+        assert (run.temperature, run.top_k, run.top_p, run.max_new_tokens) == (
+            decoding.temperature, decoding.top_k, decoding.top_p, decoding.max_new_tokens,
+        )
+        assert run.concurrency == inspect.signature(run_experiment).parameters["concurrency"].default
+        few_shot_k = inspect.signature(RunManifest.create).parameters["few_shot_k"].default
+        prompt = parser.parse_args(["prompt", "--target-id", "u01"])
+        assert run.k == prompt.k == few_shot_k == MAX_FEW_SHOT
 
     def test_remote_backend_requires_endpoint(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("PREF2CONSTRAINT_ENDPOINT", raising=False)

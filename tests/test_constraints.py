@@ -319,6 +319,16 @@ class TestExtract:
         ]
         assert len(issues) == 1
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("S_T = 1 ∀ t", Constraint(Variable.STATE, Binary(1), All())),
+            ("H_t = 45 ∀ t", Constraint(Variable.TEMPERATURE, Degrees(45.0), All())),
+        ],
+    )
+    def test_upper_case_variable_is_read(self, text, expected):
+        assert extract_constraints("ecco: " + text) == ([expected], [])
+
     def test_bare_t_does_not_steal_bounded_t(self):
         constraints, _ = extract_constraints("s_t = 1 ∀ t ≤ 22:00")
         assert constraints == [Constraint(Variable.STATE, Binary(1), Until(tp(22)))]

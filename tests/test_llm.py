@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +26,7 @@ from pref2constraint.llm import (
     prompt_digest,
     run_experiment,
 )
-from pref2constraint.metrics import evaluate_run
+from pref2constraint.metrics import CorruptOutputsError, evaluate_run
 
 MOCK_FIXTURES = {prompt_digest("ciao"): "risposta fissa"}
 
@@ -185,6 +190,40 @@ class TestOpenAICompatBackend:
             self.backend(FakeReply(payload=None)).send(request())
 
 
+VALID_ROW = {"record_id": "u01", "shot": "0s", "prompt_digest": "x", "response_text": "y"}
+
+# A run whose backend kills the process at completion k, once the outputs
+# file holds k - 1 lines or after a grace period if it never does.
+DYING_RUN = """
+import os, sys, time
+from pathlib import Path
+from pref2constraint.dataset import load_pilot_corpus, mock_fixtures_path, pilot_corpus_path
+from pref2constraint.llm import MockBackend, RunManifest, run_experiment
+
+outputs, kill_at = Path(sys.argv[1]), int(sys.argv[2])
+
+
+class DyingBackend(MockBackend):
+    calls = 0
+
+    def send(self, request):
+        DyingBackend.calls += 1
+        if DyingBackend.calls == kill_at:
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                if outputs.exists() and outputs.read_bytes().count(b"\\n") >= kill_at - 1:
+                    break
+                time.sleep(0.01)
+            os._exit(3)
+        return super().send(request)
+
+
+manifest = RunManifest.create(pilot_corpus_path(), "it", ("0s", "1s", "fs"), "mock-model")
+backend = DyingBackend.from_file(mock_fixtures_path())
+run_experiment(manifest, load_pilot_corpus(), backend, outputs, concurrency=1)
+"""
+
+
 @pytest.fixture()
 def pilot_manifest():
     return RunManifest.create(
@@ -234,14 +273,95 @@ class TestRunExperiment:
     def test_resume_rejects_corrupt_complete_line(self, pilot_manifest, pilot_records, tmp_path):
         outputs = tmp_path / "run.jsonl"
         outputs.write_text("not json\n", "utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptOutputsError) as excinfo:
             run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert excinfo.value.line_number == 1
+
+    @pytest.mark.parametrize(
+        "second_line",
+        [
+            "not json",
+            json.dumps({"record_id": "u02", "shot": "0s", "prompt_digest": "x"}),
+            json.dumps({"record_id": ["u02"], "shot": "0s", "prompt_digest": "x", "response_text": "y"}),
+            json.dumps(VALID_ROW),
+        ],
+        ids=["bad-json", "missing-field", "non-string", "repeated-pair"],
+    )
+    def test_resume_and_eval_reject_the_same_line(
+        self, pilot_manifest, pilot_records, tmp_path, second_line
+    ):
+        outputs = tmp_path / "run.jsonl"
+        outputs.write_text(json.dumps(VALID_ROW) + "\n" + second_line + "\n", "utf-8")
+        before = outputs.read_bytes()
+        with pytest.raises(CorruptOutputsError) as from_eval:
+            evaluate_run(outputs, pilot_records, model_id="m")
+        with pytest.raises(CorruptOutputsError) as from_resume:
+            run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert from_eval.value.line_number == from_resume.value.line_number == 2
+        assert outputs.read_bytes() == before
 
     def test_bit_reproducible(self, pilot_manifest, pilot_records, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), a, concurrency=1)
         run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), b, concurrency=8)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "change", [{"model_id": "other-model"}, {"seed": 7}], ids=["model_id", "seed"]
+    )
+    def test_resume_with_another_config_is_refused(
+        self, pilot_manifest, pilot_records, tmp_path, change
+    ):
+        outputs = tmp_path / "run.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        before = outputs.read_bytes(), manifest_path_for(outputs).read_bytes()
+        with pytest.raises(ManifestMismatchError, match=str(outputs)):
+            run_experiment(
+                replace(pilot_manifest, **change), pilot_records, shipped_mock_backend(), outputs
+            )
+        assert (outputs.read_bytes(), manifest_path_for(outputs).read_bytes()) == before
+
+    def test_matching_resume_keeps_first_manifest(self, pilot_manifest, pilot_records, tmp_path):
+        outputs = tmp_path / "run.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        first = manifest_path_for(outputs).read_bytes()
+        later = replace(pilot_manifest, timestamp="2099-01-01T00:00:00+00:00")
+        summary = run_experiment(later, pilot_records, shipped_mock_backend(), outputs)
+        assert summary.skipped == 78 and summary.completed == 0
+        assert manifest_path_for(outputs).read_bytes() == first
+
+    def test_manifest_written_before_first_completion(self, pilot_manifest, pilot_records, tmp_path):
+        outputs = tmp_path / "run.jsonl"
+        mock = shipped_mock_backend()
+        seen = []
+
+        class Watching:
+            name = "watching"
+
+            def send(self, request):
+                seen.append(manifest_path_for(outputs).exists())
+                return mock.send(request)
+
+        zero_shot = replace(pilot_manifest, shot_labels=("0s",))
+        summary = run_experiment(zero_shot, pilot_records, Watching(), outputs, concurrency=1)
+        assert summary.completed == 26 and seen == [True] * 26
+
+    def test_each_line_is_on_disk_when_the_run_dies(self, tmp_path):
+        outputs = tmp_path / "run.jsonl"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        kill_at = 5
+        result = subprocess.run(
+            [sys.executable, "-c", DYING_RUN, str(outputs), str(kill_at)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 3, result.stderr
+        lines = outputs.read_text("utf-8").splitlines()
+        assert len(lines) == kill_at - 1
+        assert all(set(json.loads(line)) >= {"record_id", "shot"} for line in lines)
 
     def test_manifest_written(self, pilot_manifest, pilot_records, tmp_path):
         outputs = tmp_path / "run.jsonl"
