@@ -26,7 +26,7 @@ from .constraints import (
 from .dataset import GoldRecord, Span, load_dataset, load_pilot_corpus, tag_utterance
 from .grounding import GroundedAssignment, Horizon, ground, merge
 from .metrics import acc_conditions, acc_variables, chrf, evaluate_run
-from .prompting import PromptSpec, ShotSetting, build_prompt, select_examples
+from .prompting import ExamplePool, PromptSpec, ShotSetting, build_prompt, select_examples
 from .scheduler import Appliance, ScheduleProblem, check_functional, solve
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "Binary",
     "Constraint",
     "Degrees",
+    "ExamplePool",
     "From",
     "GoldRecord",
     "GroundedAssignment",

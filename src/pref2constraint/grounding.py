@@ -74,10 +74,6 @@ class Horizon:
     def num_slots(self) -> int:
         return MINUTES_PER_DAY // self.slot_minutes
 
-    def slot_interval(self, slot: int) -> tuple[int, int]:
-        """Minute interval [start, end) covered by a slot."""
-        return slot * self.slot_minutes, (slot + 1) * self.slot_minutes
-
 
 def condition_window(condition: TimeCondition) -> tuple[int, int]:
     """Closed minute window [lo, hi] over which a condition holds."""
@@ -113,11 +109,6 @@ class GroundedAssignment:
 
     def forced_state_slots(self, value: int) -> set[int]:
         return {i for i, v in enumerate(self.state) if v == value}
-
-    def is_empty(self) -> bool:
-        return all(v is None for v in self.state) and all(
-            v is None for v in self.temperature
-        )
 
     def to_dict(self) -> dict:
         return {

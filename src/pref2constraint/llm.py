@@ -21,7 +21,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
@@ -30,7 +30,9 @@ import requests
 
 from .dataset import GoldRecord
 from .errors import Pref2ConstraintError
-from .prompting import MAX_FEW_SHOT, PromptSpec, ShotSetting, build_prompt, select_examples
+from .prompting import MAX_FEW_SHOT, ExamplePool, PromptSpec, ShotSetting, build_prompt
+# Not called here: perfbench/tracing.py wraps llm.select_examples by name.
+from .prompting import select_examples  # noqa: F401
 
 
 DEFAULT_CONCURRENCY = 4  # completion requests in flight in run_experiment
@@ -65,6 +67,10 @@ class MockMissError(BackendError):
 
 
 class ManifestMismatchError(Pref2ConstraintError):
+    pass
+
+
+class CorruptManifestError(Pref2ConstraintError):
     pass
 
 
@@ -317,7 +323,12 @@ def read_manifest(outputs_path: str | Path) -> RunManifest | None:
     manifest_file = manifest_path_for(outputs_path)
     if not manifest_file.exists():
         return None
-    return RunManifest.from_dict(json.loads(manifest_file.read_text("utf-8")))
+    try:
+        return RunManifest.from_dict(json.loads(manifest_file.read_text("utf-8")))
+    except KeyError as exc:
+        raise CorruptManifestError(f"{manifest_file}: missing field {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise CorruptManifestError(f"{manifest_file}: {exc}") from exc
 
 
 def parse_outputs(lines: Iterable[bytes]) -> dict[tuple[str, str], tuple[int, str]]:
@@ -380,7 +391,8 @@ def run_experiment(
     (record, shot) order by a single writer, so reruns with the mock
     backend are byte-reproducible; each line is flushed as it is written.
     A manifest already next to the outputs must equal ``manifest`` but for
-    its timestamp, and is kept; otherwise ``manifest`` is written first.
+    its timestamp and dataset path (the dataset is compared by SHA-256), and
+    is kept; otherwise ``manifest`` is written first.
     """
     outputs_path = Path(outputs_path)
     current_hash = file_sha256(manifest.dataset_path)
@@ -389,20 +401,29 @@ def run_experiment(
             f"dataset file {manifest.dataset_path} changed since the manifest was built"
         )
     existing = read_manifest(outputs_path)
-    if existing is not None and replace(existing, timestamp=manifest.timestamp) != manifest:
-        raise ManifestMismatchError(f"{outputs_path} was run with another configuration")
+    if existing is not None:
+        differing = [
+            f.name
+            for f in fields(RunManifest)
+            if f.name not in ("dataset_path", "timestamp")  # the dataset is compared by hash
+            and getattr(existing, f.name) != getattr(manifest, f.name)
+        ]
+        if differing:
+            raise ManifestMismatchError(
+                f"{outputs_path} was run with another configuration "
+                f"(differing fields: {', '.join(differing)})"
+            )
     done, dropped_tail = _resume(outputs_path)
     summary = RunSummary(skipped=len(done), dropped_tail=dropped_tail)
 
+    examples = ExamplePool(records, manifest.seed)
     work: list[tuple[str, str, str]] = []  # (record_id, shot label, prompt)
     for record in records:
-        for shot in manifest.shots:
-            if (record.id, shot.label) in done:
-                continue
-            example_ids = tuple(
-                select_examples(records, record.id, shot.n_examples, manifest.seed)
-            )
-            spec = PromptSpec(manifest.template_id, shot, example_ids, record)
+        pending = [shot for shot in manifest.shots if (record.id, shot.label) not in done]
+        # One ranking per record: a shot's examples are a prefix of the longest list.
+        ranked = examples.select(record.id, max((s.n_examples for s in pending), default=0))
+        for shot in pending:
+            spec = PromptSpec(manifest.template_id, shot, tuple(ranked[: shot.n_examples]), record)
             work.append((record.id, shot.label, build_prompt(spec, records)))
 
     def run_one(item: tuple[str, str, str]) -> ModelResponse | BackendError:

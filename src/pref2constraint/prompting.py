@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import heapq
 from dataclasses import dataclass
 
 from .dataset import GoldRecord, resource_path, tag_utterance
-from .constraints import render_constraint
+from .constraints import Constraint, render_constraint
 from .errors import Pref2ConstraintError
 
 MAX_FEW_SHOT = 5
@@ -186,33 +187,67 @@ def build_prompt(spec: PromptSpec, dataset: list[GoldRecord]) -> str:
     return text
 
 
+class ExamplePool:
+    """In-context example selection over one dataset and seed.
+
+    Built once per run: it indexes record positions by id and by gold
+    constraint, so each constraint is hashed once, not once per (target,
+    candidate) pair.  Positions, not ids, are indexed so that a list with a
+    repeated id is still judged record by record.
+
+    ``select(target_id, k)`` picks k example ids, never the target,
+    deterministically from the seed.  Records sharing a gold constraint
+    with the target are skipped too, so no example block ever spells out
+    the target's own answer.  Candidates are ranked by the
+    SHA-256 of "seed:target id:candidate id", which keeps the choice stable
+    across platforms and Python versions.  The rank ignores k, so
+    ``select(target_id, k)[:j] == select(target_id, j)`` for every j <= k.
+    """
+
+    def __init__(self, dataset: list[GoldRecord], seed: int):
+        self._records = list(dataset)
+        self._seed = seed
+        self._positions: dict[str, list[int]] = {}  # record id -> positions holding it
+        self._holders: dict[Constraint, list[int]] = {}  # gold constraint -> positions
+        for position, record in enumerate(self._records):
+            self._positions.setdefault(record.id, []).append(position)
+            for constraint in record.constraints:
+                self._holders.setdefault(constraint, []).append(position)
+
+    def select(self, target_id: str, k: int) -> list[str]:
+        if k < 0:
+            raise PromptingError(f"k must be >= 0, got {k}")
+        if k == 0:
+            return []
+        positions = self._positions.get(target_id, [])
+        taboo = set(positions)
+        if positions:  # the first record with the id is the target
+            for constraint in self._records[positions[0]].constraints:
+                taboo.update(self._holders[constraint])
+        candidates = [
+            record.id for position, record in enumerate(self._records) if position not in taboo
+        ]
+        if k > len(candidates):
+            raise InsufficientDataError(
+                f"need {k} examples but only {len(candidates)} records are available "
+                f"besides the target"
+            )
+        prefix = hashlib.sha256(f"{self._seed}:{target_id}:".encode("utf-8"))
+
+        def rank(candidate_id: str) -> bytes:
+            digest = prefix.copy()
+            digest.update(candidate_id.encode("utf-8"))
+            return digest.digest()  # orders like the hex digest
+
+        return heapq.nsmallest(k, candidates, key=rank)
+
+
 def select_examples(
     dataset: list[GoldRecord], target_id: str, k: int, seed: int
 ) -> list[str]:
-    """Pick k example ids, never the target, deterministically from the seed.
+    """Pick k example ids for one target; see ``ExamplePool`` for the rule.
 
-    Records sharing a gold constraint with the target are skipped too, so
-    no example block ever spells out the target's own answer.  Candidates
-    are ranked by a hash of (seed, target id, candidate id), which keeps
-    the choice stable across platforms and Python versions.
+    This builds the index for a single call.  A caller that selects for
+    many targets builds one ``ExamplePool`` and calls ``select`` on it.
     """
-    target = next((record for record in dataset if record.id == target_id), None)
-    taboo = set(target.constraints) if target is not None else set()
-    candidates = [
-        record.id
-        for record in dataset
-        if record.id != target_id and not (taboo & set(record.constraints))
-    ]
-    if k > len(candidates):
-        raise InsufficientDataError(
-            f"need {k} examples but only {len(candidates)} records are available "
-            f"besides the target"
-        )
-    if k == 0:
-        return []
-
-    def rank(candidate_id: str) -> str:
-        key = f"{seed}:{target_id}:{candidate_id}".encode("utf-8")
-        return hashlib.sha256(key).hexdigest()
-
-    return sorted(candidates, key=rank)[:k]
+    return ExamplePool(dataset, seed).select(target_id, k)

@@ -7,6 +7,7 @@ implementations under test.
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -35,6 +36,31 @@ def chrf_oracle(reference: str, hypothesis: str, beta: float = 1.0, max_n: int =
     if chr_p == 0.0 and chr_r == 0.0:
         return 0.0
     return 100.0 * (1 + beta**2) * chr_p * chr_r / (chr_r + beta**2 * chr_p)
+
+
+def selection_oracle(dataset, target_id: str, k: int, seed: int) -> list[str]:
+    """Full-scan example selection, one call per (target, k).
+
+    Leaves out every record with the target's id and every record sharing a
+    gold constraint with the first one, sorts the rest by the hex SHA-256 of
+    "seed:target id:candidate id" and keeps the first k.  Raises ValueError
+    when fewer than k records are left.
+    """
+    target = next((record for record in dataset if record.id == target_id), None)
+    taboo = set(target.constraints) if target is not None else set()
+    candidates = [
+        record.id
+        for record in dataset
+        if record.id != target_id and not (taboo & set(record.constraints))
+    ]
+    if k > len(candidates):
+        raise ValueError(f"need {k} examples, only {len(candidates)} available")
+
+    def rank(candidate_id: str) -> str:
+        key = f"{seed}:{target_id}:{candidate_id}".encode("utf-8")
+        return hashlib.sha256(key).hexdigest()
+
+    return sorted(candidates, key=rank)[:k]
 
 
 def _window_minutes(condition) -> tuple[int, int]:

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from pref2constraint.cli import build_parser, main
+from pref2constraint.dataset import pilot_corpus_path
 from pref2constraint.llm import DecodingConfig, RunManifest, manifest_path_for, run_experiment
 from pref2constraint.prompting import MAX_FEW_SHOT
 
@@ -181,6 +182,29 @@ class TestRunAndEval:
         assert code == 1 and out == ""
         assert err.startswith("CorruptOutputsError: line 2: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "run"])
+    def test_incomplete_manifest_is_one_line_error(self, capsys, tmp_path, command):
+        outputs = tmp_path / "r.jsonl"
+        good = {"record_id": "u01", "shot": "0s", "prompt_digest": "x", "response_text": "y"}
+        outputs.write_text(json.dumps(good) + "\n", "utf-8")
+        manifest_path_for(outputs).write_text('{"model_id": "m"}', "utf-8")
+        flag = "--outputs" if command == "eval" else "--out"
+        code, out, err = run_cli(capsys, command, flag, str(outputs))
+        assert code == 1 and out == ""
+        assert err == (
+            f"CorruptManifestError: {manifest_path_for(outputs)}: missing field 'dataset_path'\n"
+        )
+
+    def test_resume_with_the_corpus_under_another_path(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "pilot_it.jsonl").write_bytes(pilot_corpus_path().read_bytes())
+        monkeypatch.chdir(tmp_path)
+        first = ["run", "--out", "r.jsonl", "--data", "pilot_it.jsonl", "--shots", "0s", "--json"]
+        assert run_cli(capsys, *first)[0] == 0
+        again = first[:4] + [str(tmp_path / "pilot_it.jsonl")] + first[5:]
+        code, out, err = run_cli(capsys, *again)
+        assert code == 0, err
+        assert json.loads(out)["skipped"] == 26 and json.loads(out)["completed"] == 0
 
     def test_run_defaults_are_the_library_defaults(self):
         parser = build_parser()

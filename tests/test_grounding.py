@@ -44,7 +44,15 @@ class TestHorizon:
             Horizon(7)
 
     def test_slot_interval(self):
-        assert Horizon(30).slot_interval(14) == (420, 450)
+        # Slot 14 of a 30-minute day is [07:00, 07:30): a constraint forces it
+        # only when its window covers that whole interval.
+        def forced(window):
+            return ground([c(f"s_t = 1 ∀ {window}")], Horizon(30)).forced_state_slots(1)
+
+        assert forced("07:00 ≤ t ≤ 07:30") == {14}
+        assert forced("06:59 ≤ t ≤ 07:30") == {14}
+        assert forced("07:00 ≤ t ≤ 07:29") == set()
+        assert forced("07:01 ≤ t ≤ 08:00") == {15}
 
 
 class TestGround:

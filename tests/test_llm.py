@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -7,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from pref2constraint import prompting
 from pref2constraint.dataset import mock_fixtures_path, pilot_corpus_path
 from pref2constraint.llm import (
     AuthError,
     CompletionRequest,
+    CorruptManifestError,
     DecodingConfig,
     MalformedBackendReply,
     ManifestMismatchError,
@@ -320,6 +323,83 @@ class TestRunExperiment:
                 replace(pilot_manifest, **change), pilot_records, shipped_mock_backend(), outputs
             )
         assert (outputs.read_bytes(), manifest_path_for(outputs).read_bytes()) == before
+
+    def test_mismatch_names_the_differing_fields(self, pilot_manifest, pilot_records, tmp_path):
+        outputs = tmp_path / "run.jsonl"
+        zero_shot = replace(pilot_manifest, shot_labels=("0s",))
+        run_experiment(zero_shot, pilot_records, shipped_mock_backend(), outputs)
+        other = replace(zero_shot, model_id="other-model", seed=7)
+        with pytest.raises(ManifestMismatchError, match=r"differing fields: model_id, seed\)$"):
+            run_experiment(other, pilot_records, shipped_mock_backend(), outputs)
+
+    def test_resume_accepts_the_same_dataset_under_another_path(
+        self, pilot_manifest, pilot_records, tmp_path, monkeypatch
+    ):
+        (tmp_path / "pilot.jsonl").write_bytes(pilot_corpus_path().read_bytes())
+        monkeypatch.chdir(tmp_path)
+        outputs = tmp_path / "run.jsonl"
+        relative = RunManifest.create("pilot.jsonl", "it", ("0s",), "mock-model")
+        run_experiment(relative, pilot_records, shipped_mock_backend(), outputs)
+        first = manifest_path_for(outputs).read_bytes()
+        absolute = replace(relative, dataset_path=str(tmp_path / "pilot.jsonl"))
+        summary = run_experiment(absolute, pilot_records, shipped_mock_backend(), outputs)
+        assert summary.skipped == 26 and summary.completed == 0
+        assert manifest_path_for(outputs).read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "manifest_text,named",
+        [('{"model_id": "m"}', "missing field 'dataset_path'"), ("[1]", ""), ("{", "")],
+        ids=["missing-field", "not-an-object", "bad-json"],
+    )
+    def test_unreadable_manifest_is_a_domain_error(
+        self, pilot_manifest, pilot_records, tmp_path, manifest_text, named
+    ):
+        outputs = tmp_path / "run.jsonl"
+        outputs.write_text(json.dumps(VALID_ROW) + "\n", "utf-8")
+        manifest_path_for(outputs).write_text(manifest_text, "utf-8")
+        message = f"{manifest_path_for(outputs)}: {named}"
+        with pytest.raises(CorruptManifestError, match=re.escape(message)):
+            evaluate_run(outputs, pilot_records)
+        with pytest.raises(CorruptManifestError, match=re.escape(message)):
+            run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+
+    def test_each_shot_takes_a_prefix_of_one_ranking(self, pilot_manifest, pilot_records, tmp_path):
+        def lines_by_pair(path):
+            lines = path.read_text("utf-8").splitlines(keepends=True)
+            rows = [(json.loads(line), line) for line in lines]
+            return {(row["record_id"], row["shot"]): line for row, line in rows}
+
+        clean = tmp_path / "clean.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), clean)
+        expected = lines_by_pair(clean)
+
+        one_shot = tmp_path / "one_shot.jsonl"
+        one_shot_manifest = replace(pilot_manifest, shot_labels=("1s",))
+        run_experiment(one_shot_manifest, pilot_records, shipped_mock_backend(), one_shot)
+
+        resumed = tmp_path / "resumed.jsonl"
+        resumed.write_text(
+            "".join(line for (_, shot), line in expected.items() if shot != "fs"), "utf-8"
+        )
+        summary = run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), resumed)
+        assert summary.skipped == 52 and summary.completed == 26 and not summary.failures
+
+        for path, count in ((one_shot, 26), (resumed, 78)):
+            got = lines_by_pair(path)
+            assert len(got) == count
+            assert all(line == expected[pair] for pair, line in got.items())
+
+    def test_zero_shot_run_ranks_no_examples(
+        self, pilot_manifest, pilot_records, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(prompting, "hashlib", None)  # ranking would need hashlib.sha256
+        backend = shipped_mock_backend()
+        zero_shot = replace(pilot_manifest, shot_labels=("0s",))
+        summary = run_experiment(zero_shot, pilot_records, backend, tmp_path / "a.jsonl")
+        assert summary.completed == 26 and not summary.failures
+        one_shot = replace(pilot_manifest, shot_labels=("1s",))
+        with pytest.raises(AttributeError):
+            run_experiment(one_shot, pilot_records, backend, tmp_path / "b.jsonl")
 
     def test_matching_resume_keeps_first_manifest(self, pilot_manifest, pilot_records, tmp_path):
         outputs = tmp_path / "run.jsonl"

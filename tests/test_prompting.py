@@ -1,6 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
+from oracles import selection_oracle
 from pref2constraint.prompting import (
+    MAX_FEW_SHOT,
+    ExamplePool,
     InsufficientDataError,
     LeakageError,
     PromptSpec,
@@ -140,6 +145,69 @@ class TestSelectExamples:
     def test_insufficient_data(self, pilot_records):
         with pytest.raises(InsufficientDataError):
             select_examples(pilot_records[:3], "u01", 5, seed=0)
+
+
+def scaled_corpus(records, copies):
+    """The records copied under fresh ids: every gold constraint has `copies` times the holders."""
+    return [replace(r, id=f"{r.id}-copy{copy}") for copy in range(copies) for r in records]
+
+
+def selections(dataset, target_id, k, seed):
+    """(select_examples, ExamplePool.select, oracle) results; "raises" for a raised error."""
+    results = []
+    for select, error in (
+        (lambda: select_examples(dataset, target_id, k, seed), InsufficientDataError),
+        (lambda: ExamplePool(dataset, seed).select(target_id, k), InsufficientDataError),
+        (lambda: selection_oracle(dataset, target_id, k, seed), ValueError),
+    ):
+        try:
+            results.append(select())
+        except error:
+            results.append("raises")
+    return results
+
+
+class TestExamplePool:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_oracle_on_scaled_corpus(self, pilot_records, seed):
+        corpus = scaled_corpus(pilot_records, 4)
+        pool = ExamplePool(corpus, seed)
+        for record in corpus:
+            chosen = {k: pool.select(record.id, k) for k in range(MAX_FEW_SHOT + 1)}
+            for k, ids in chosen.items():
+                assert ids == select_examples(corpus, record.id, k, seed)
+                assert ids == selection_oracle(corpus, record.id, k, seed)
+                assert all(ids[:j] == chosen[j] for j in range(k + 1))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_raises_exactly_when_oracle_runs_short(self, pilot_records, seed):
+        corpus = scaled_corpus(pilot_records, 4)
+        raised = 0
+        for size in range(MAX_FEW_SHOT + 3):
+            dataset = corpus[:size]
+            for target_id in [r.id for r in dataset] + ["not-in-corpus"]:
+                for k in range(MAX_FEW_SHOT + 1):
+                    new, pooled, expected = selections(dataset, target_id, k, seed)
+                    assert new == pooled == expected
+                    raised += expected == "raises"
+        assert raised > 0
+
+    def test_duplicate_ids_follow_the_full_scan(self, pilot_records):
+        # A second copy reusing the ids of other records: the first record with
+        # an id is the target, and each record is kept or dropped on its own.
+        shifted = [
+            replace(r, id=pilot_records[(i + 1) % len(pilot_records)].id)
+            for i, r in enumerate(pilot_records)
+        ]
+        dataset = pilot_records + shifted
+        for record in pilot_records:
+            for k in range(MAX_FEW_SHOT + 1):
+                new, pooled, expected = selections(dataset, record.id, k, seed=3)
+                assert new == pooled == expected
+
+    def test_negative_k_rejected(self, pilot_records):
+        with pytest.raises(PromptingError):
+            ExamplePool(pilot_records, 0).select("u01", -1)
 
 
 class TestGoldenPrompts:

@@ -297,7 +297,8 @@ class TestSerialization:
         path.write_text(json.dumps(payload), "utf-8")
         problem = ScheduleProblem.from_file(path)
         assert problem.horizon.num_slots == 24
-        assert problem.forced.is_empty()
+        assert problem.forced.state == [None] * 24
+        assert problem.forced.temperature == [None] * 24
         schedule = solve(problem)
         assert isinstance(schedule, Schedule)
 
