@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .constraints import canonicalize, parse_constraint
-from .dataset import load_dataset, mock_fixtures_path, pilot_corpus_path, tag_utterance
+from .dataset import GoldRecord, load_dataset, mock_fixtures_path, pilot_corpus_path, tag_utterance
 from .errors import Pref2ConstraintError
 from .grounding import Horizon, ground
 from .llm import (
@@ -104,16 +104,20 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_prompt(args: argparse.Namespace) -> int:
+def _target_record(args: argparse.Namespace) -> tuple[list[GoldRecord], GoldRecord]:
+    """The dataset and its record ``args.target_id`` (the last with that id)."""
     records = load_dataset(_dataset_path(args))
     by_id = {r.id: r for r in records}
     if args.target_id not in by_id:
         raise Pref2ConstraintError(f"record id {args.target_id!r} not in dataset")
+    return records, by_id[args.target_id]
+
+
+def cmd_prompt(args: argparse.Namespace) -> int:
+    records, target = _target_record(args)
     shot = ShotSetting.from_label(args.shot, args.k)
     example_ids = tuple(select_examples(records, args.target_id, shot.n_examples, args.seed))
-    prompt = build_prompt(
-        PromptSpec(args.template, shot, example_ids, by_id[args.target_id]), records
-    )
+    prompt = build_prompt(PromptSpec(args.template, shot, example_ids, target), records)
     payload = {
         "target_id": args.target_id,
         "shot": shot.label,
@@ -246,11 +250,7 @@ def cmd_check_functional(args: argparse.Namespace) -> int:
 
 
 def cmd_tag(args: argparse.Namespace) -> int:
-    records = load_dataset(_dataset_path(args))
-    by_id = {r.id: r for r in records}
-    if args.target_id not in by_id:
-        raise Pref2ConstraintError(f"record id {args.target_id!r} not in dataset")
-    tagged = tag_utterance(by_id[args.target_id])
+    tagged = tag_utterance(_target_record(args)[1])
     _emit(args, {"record_id": args.target_id, "tagged": tagged}, tagged)
     return 0
 

@@ -417,6 +417,7 @@ def run_experiment(
     summary = RunSummary(skipped=len(done), dropped_tail=dropped_tail)
 
     examples = ExamplePool(records, manifest.seed)
+    by_id = {record.id: record for record in records}  # last record wins, as in build_prompt
     work: list[tuple[str, str, str]] = []  # (record_id, shot label, prompt)
     for record in records:
         pending = [shot for shot in manifest.shots if (record.id, shot.label) not in done]
@@ -424,7 +425,8 @@ def run_experiment(
         ranked = examples.select(record.id, max((s.n_examples for s in pending), default=0))
         for shot in pending:
             spec = PromptSpec(manifest.template_id, shot, tuple(ranked[: shot.n_examples]), record)
-            work.append((record.id, shot.label, build_prompt(spec, records)))
+            chosen = [by_id[example_id] for example_id in spec.example_ids]
+            work.append((record.id, shot.label, build_prompt(spec, chosen)))
 
     def run_one(item: tuple[str, str, str]) -> ModelResponse | BackendError:
         request = CompletionRequest(item[2], manifest.model_id, manifest.decoding)

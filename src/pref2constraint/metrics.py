@@ -6,7 +6,10 @@ and recall over the orders where the reference has one; orders empty on
 both sides are skipped.  (The alternative "effective order" convention of
 sacrebleu, which divides by the full order count, is deliberately not
 used; the skip convention keeps chrf(x, x) = 100 for short strings.)
-Scores are scaled to 0..100.
+Scores are scaled to 0..100.  ``chrf()`` raises ``EmptyInputError`` when a
+side is empty after stripping; in an ``evaluate_run`` report the same counts
+give such an utterance 0.0, and ``corpus_chrf`` pools the counts of every
+scored line, blank sides included.
 
 The accuracy metrics compare extracted constraints against gold per
 utterance: a maximum matching under an equality predicate — variable kind
@@ -21,7 +24,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .constraints import Constraint, extract_constraints, render_constraint
 from .dataset import GoldRecord
@@ -46,22 +49,22 @@ class MissingGoldError(MetricsError):
     pass
 
 
-def _ngram_counts(text: str, n: int) -> Counter:
-    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
-
-
 def chrf_counts(
     reference: str, hypothesis: str, max_n: int = 6
 ) -> tuple[list[int], list[int], list[int]]:
-    """Per-order (matched, hypothesis total, reference total) n-gram counts."""
-    matched, hyp_totals, ref_totals = [], [], []
-    for n in range(1, max_n + 1):
-        ref_counts = _ngram_counts(reference, n)
-        hyp_counts = _ngram_counts(hypothesis, n)
-        overlap = sum((ref_counts & hyp_counts).values())
-        matched.append(overlap)
-        hyp_totals.append(sum(hyp_counts.values()))
-        ref_totals.append(sum(ref_counts.values()))
+    """Per-order (matched, hypothesis total, reference total) n-gram counts.
+
+    A string of length L has max(0, L - n + 1) n-grams of order n; only the
+    clipped overlap needs counting.
+    """
+    orders = range(1, max_n + 1)
+    matched = []
+    for n in orders:
+        ref_counts = Counter(reference[i : i + n] for i in range(len(reference) - n + 1))
+        hyp_counts = Counter(hypothesis[i : i + n] for i in range(len(hypothesis) - n + 1))
+        matched.append(sum((ref_counts & hyp_counts).values()))
+    hyp_totals = [max(0, len(hypothesis) - n + 1) for n in orders]
+    ref_totals = [max(0, len(reference) - n + 1) for n in orders]
     return matched, hyp_totals, ref_totals
 
 
@@ -91,17 +94,18 @@ def chrf(reference: str, hypothesis: str, beta: float = 1.0, max_n: int = 6) -> 
     return _combine(*chrf_counts(ref, hyp, max_n), beta)
 
 
-def _max_matching(gold_keys: list, parsed_keys: list) -> int:
-    """Maximum matching size under key equality = clipped multiset overlap."""
-    return sum((Counter(gold_keys) & Counter(parsed_keys)).values())
+def _match_counts(gold: Sequence[Constraint], extracted: Sequence[Constraint]) -> tuple[int, int]:
+    """(matched variables, matched conditions) of extracted against gold constraints.
 
-
-def _variable_key(constraint: Constraint):
-    return (constraint.variable, constraint.value)
-
-
-def _condition_key(constraint: Constraint):
-    return constraint.condition
+    Each is a maximum matching under key equality, which is the clipped
+    multiset overlap of the keys: (variable, value) for variables, the
+    normalized time condition for conditions.
+    """
+    variables = Counter((c.variable, c.value) for c in gold) & Counter(
+        (c.variable, c.value) for c in extracted
+    )
+    conditions = Counter(c.condition for c in gold) & Counter(c.condition for c in extracted)
+    return sum(variables.values()), sum(conditions.values())
 
 
 def _mean_ratio(pairs: Iterable[tuple[int, int]]) -> float:
@@ -110,29 +114,25 @@ def _mean_ratio(pairs: Iterable[tuple[int, int]]) -> float:
     return sum(ratios) / len(ratios) if ratios else 0.0
 
 
-def _mean_of_ratios(
-    gold: list[GoldRecord],
-    parsed: dict[str, list[Constraint]],
-    key,
-) -> float:
+def _accuracy(gold: list[GoldRecord], parsed: dict[str, list[Constraint]], side: int) -> float:
+    """Mean per-utterance share of gold matched; side 0 is variables, 1 conditions."""
     pairs = []
     for record in gold:
         if record.id not in parsed:
             raise MissingRecordError(f"no parsed entry for record {record.id!r}")
-        gold_keys = [key(c) for c in record.constraints]
-        parsed_keys = [key(c) for c in parsed[record.id]]
-        pairs.append((_max_matching(gold_keys, parsed_keys), len(gold_keys)))
+        matched = _match_counts(record.constraints, parsed[record.id])[side]
+        pairs.append((matched, len(record.constraints)))
     return _mean_ratio(pairs)
 
 
 def acc_variables(gold: list[GoldRecord], parsed: dict[str, list[Constraint]]) -> float:
     """Mean per-utterance share of gold constraints whose variable and value were generated."""
-    return _mean_of_ratios(gold, parsed, _variable_key)
+    return _accuracy(gold, parsed, 0)
 
 
 def acc_conditions(gold: list[GoldRecord], parsed: dict[str, list[Constraint]]) -> float:
     """Mean per-utterance share of gold time conditions that were generated."""
-    return _mean_of_ratios(gold, parsed, _condition_key)
+    return _accuracy(gold, parsed, 1)
 
 
 @dataclass(frozen=True)
@@ -229,39 +229,26 @@ def evaluate_run(
         for record_id, response in rows.items():
             record = by_id[record_id]
             constraints, issues = extract_constraints(response)
-            reference = strip_whitespace(gold_reference_string(record))
-            hypothesis = strip_whitespace(response)
-            if reference and hypothesis:
-                counts = chrf_counts(reference, hypothesis)
-                score = _combine(*counts, beta)
-                for pool, part in zip(pooled, counts):
-                    for i, value in enumerate(part):
-                        pool[i] += value
-            else:
-                score = 0.0
-            gold_vars = [_variable_key(c) for c in record.constraints]
-            gold_conds = [_condition_key(c) for c in record.constraints]
+            counts = chrf_counts(
+                strip_whitespace(gold_reference_string(record)), strip_whitespace(response)
+            )
+            pooled = [[a + b for a, b in zip(pool, part)] for pool, part in zip(pooled, counts)]
+            matched_variables, matched_conditions = _match_counts(record.constraints, constraints)
             scored.append(
                 UtteranceScore(
                     record_id=record_id,
-                    chrf=score,
+                    chrf=_combine(*counts, beta),
                     n_gold=len(record.constraints),
                     n_parsed=len(constraints),
                     n_issues=len(issues),
-                    matched_variables=_max_matching(
-                        gold_vars, [_variable_key(c) for c in constraints]
-                    ),
-                    matched_conditions=_max_matching(
-                        gold_conds, [_condition_key(c) for c in constraints]
-                    ),
+                    matched_variables=matched_variables,
+                    matched_conditions=matched_conditions,
                 )
             )
         if corpus_chrf:
             shot_chrf = _combine(*pooled, beta)
-        else:
-            shot_chrf = (
-                sum(u.chrf for u in scored) / len(scored) if scored else 0.0
-            )
+        else:  # every shot has at least one line
+            shot_chrf = sum(u.chrf for u in scored) / len(scored)
         variables = _mean_ratio((u.matched_variables, u.n_gold) for u in scored)
         conditions = _mean_ratio((u.matched_conditions, u.n_gold) for u in scored)
         reports.append(

@@ -389,6 +389,37 @@ class TestRunExperiment:
             assert len(got) == count
             assert all(line == expected[pair] for pair, line in got.items())
 
+    def test_examples_come_from_the_last_record_with_an_id(
+        self, pilot_manifest, pilot_records, tmp_path
+    ):
+        class ConstantBackend:
+            name = "constant"
+
+            def send(self, request):
+                return ModelResponse("x", 0.0, self.name)
+
+        # the second copy of a repeated id differs, so a first-wins lookup shows
+        records = pilot_records + [replace(r, text=r.text + " bis") for r in pilot_records[:13]]
+        outputs = tmp_path / "run.jsonl"
+        run_experiment(pilot_manifest, records, ConstantBackend(), outputs)
+        expected = [
+            prompt_digest(
+                prompting.build_prompt(
+                    prompting.PromptSpec(
+                        "it",
+                        shot,
+                        tuple(prompting.select_examples(records, r.id, shot.n_examples, 0)),
+                        r,
+                    ),
+                    records,
+                )
+            )
+            for r in records
+            for shot in pilot_manifest.shots
+        ]
+        lines = [json.loads(line) for line in outputs.read_text("utf-8").splitlines()]
+        assert [line["prompt_digest"] for line in lines] == expected
+
     def test_zero_shot_run_ranks_no_examples(
         self, pilot_manifest, pilot_records, tmp_path, monkeypatch
     ):

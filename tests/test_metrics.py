@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pref2constraint.constraints import extract_constraints, parse_constraint
-from pref2constraint.dataset import GoldRecord
+from pref2constraint.dataset import GoldRecord, mock_fixtures_path
 from pref2constraint.metrics import (
     EmptyInputError,
     EvalReport,
@@ -15,6 +15,7 @@ from pref2constraint.metrics import (
     CorruptOutputsError,
     REFERENCE_BASELINE_ROWS,
     TABLE_COLUMNS,
+    _combine,
     acc_conditions,
     acc_variables,
     chrf,
@@ -322,6 +323,60 @@ class TestEvaluateRun:
         (mean_report,) = evaluate_run(outputs, GOLD, model_id="m")
         (corpus_report,) = evaluate_run(outputs, GOLD, model_id="m", corpus_chrf=True)
         assert mean_report.chrf != pytest.approx(corpus_report.chrf)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_per_utterance_chrf_matches_oracle(self, tmp_path, pilot_records, seed):
+        rng = random.Random(seed)
+        mock_texts = sorted(json.loads(mock_fixtures_path().read_text("utf-8")).values())
+        responses = {}
+        for r in pilot_records:
+            edited = list(gold_reference_string(r))
+            for _ in range(rng.randrange(6)):
+                edited.insert(rng.randrange(len(edited) + 1), rng.choice("s_th=01∀≤≥:7 \n"))
+            responses[r.id] = rng.choice(["".join(edited), rng.choice(mock_texts)])
+        blank = rng.choice(pilot_records).id
+        responses[blank] = " \n\t"
+        no_gold = record("u0")
+        responses[no_gold.id] = "s_t = 1 ∀ t"
+        gold = pilot_records + [no_gold]
+        outputs = tmp_path / "run.jsonl"
+        write_outputs(
+            outputs,
+            [
+                {"record_id": rid, "shot": "0s", "prompt_digest": "x", "response_text": text}
+                for rid, text in responses.items()
+            ],
+        )
+        (report,) = evaluate_run(outputs, gold, model_id="m")
+        by_id = {r.id: r for r in gold}
+        assert len(report.per_utterance) == len(gold)
+        for score in report.per_utterance:
+            if score.record_id in (blank, no_gold.id):
+                assert score.chrf == 0.0
+            else:
+                reference = gold_reference_string(by_id[score.record_id])
+                oracle = chrf_oracle(reference, responses[score.record_id])
+                assert score.chrf == pytest.approx(oracle, abs=1e-9)
+
+    def test_corpus_chrf_pools_blank_answers(self, tmp_path):
+        outputs = tmp_path / "run.jsonl"
+        rows = [
+            {"record_id": "u1", "shot": "0s", "prompt_digest": "x",
+             "response_text": gold_reference_string(GOLD[0])},
+            {"record_id": "u2", "shot": "0s", "prompt_digest": "x", "response_text": "  "},
+        ]
+        write_outputs(outputs, rows)
+        (mean_report,) = evaluate_run(outputs, GOLD, model_id="m")
+        (corpus_report,) = evaluate_run(outputs, GOLD, model_id="m", corpus_chrf=True)
+        # u1 matches every one of its n-grams; blank u2 adds only its reference n-grams
+        exact = len("".join(gold_reference_string(GOLD[0]).split()))
+        missed = len("".join(gold_reference_string(GOLD[1]).split()))
+        orders = range(1, 7)
+        matched = [exact - n + 1 for n in orders]
+        references = [exact - n + 1 + missed - n + 1 for n in orders]
+        assert mean_report.chrf == pytest.approx(50.0)
+        assert corpus_report.chrf < 100.0
+        assert corpus_report.chrf == pytest.approx(_combine(matched, matched, references, 1.0))
 
 
 class TestReportRendering:
