@@ -56,19 +56,9 @@ class RangeError(ConstraintError):
     """A time or temperature literal is outside its allowed range."""
 
 
-@dataclass(frozen=True)
-class TemperatureBounds:
-    """Allowed span for desired temperatures, in °C."""
-
-    min_c: float = 10.0
-    max_c: float = 60.0
-
-    def __post_init__(self) -> None:
-        if not self.min_c < self.max_c:
-            raise RangeError(f"empty temperature bounds [{self.min_c}, {self.max_c}]")
-
-
-DEFAULT_BOUNDS = TemperatureBounds()
+# Allowed span for desired temperatures, in °C, both ends included.
+MIN_TEMPERATURE_C = 10.0
+MAX_TEMPERATURE_C = 60.0
 
 MINUTES_PER_DAY = 1440
 
@@ -174,14 +164,14 @@ class Constraint:
             raise PairingError("h_t only takes temperature values in °C")
 
 
-def check_bounds(constraint: Constraint, bounds: TemperatureBounds = DEFAULT_BOUNDS) -> None:
-    """Raise RangeError if a temperature assignment falls outside *bounds*."""
+def check_bounds(constraint: Constraint) -> None:
+    """Raise RangeError if a temperature assignment falls outside 10..60 °C."""
     if isinstance(constraint.value, Degrees):
         v = constraint.value.value
-        if not bounds.min_c <= v <= bounds.max_c:
+        if not MIN_TEMPERATURE_C <= v <= MAX_TEMPERATURE_C:
             raise RangeError(
                 f"temperature {v} outside allowed range "
-                f"[{bounds.min_c}, {bounds.max_c}]"
+                f"[{MIN_TEMPERATURE_C}, {MAX_TEMPERATURE_C}]"
             )
 
 
@@ -299,7 +289,7 @@ def _parse_value_literal(variable: Variable, text: str) -> ConstraintValue:
     return Degrees(float(text.replace(",", ".")))
 
 
-def _constraint_from_match(m: re.Match[str], bounds: TemperatureBounds) -> Constraint:
+def _constraint_from_match(m: re.Match[str]) -> Constraint:
     """Interpret a whole-constraint match of either spelling."""
     variable = Variable(m.group("var").lower())
     value = _parse_value_literal(variable, m.group("val"))
@@ -311,11 +301,11 @@ def _constraint_from_match(m: re.Match[str], bounds: TemperatureBounds) -> Const
         for t in _TIME_LITERALS.finditer(m.string, m.start(form), m.end(form))
     ]
     constraint = Constraint(variable, value, _CONDITION_CLASSES[form](*times))
-    check_bounds(constraint, bounds)
+    check_bounds(constraint)
     return constraint
 
 
-def parse_constraint(text: str, bounds: TemperatureBounds = DEFAULT_BOUNDS) -> Constraint:
+def parse_constraint(text: str) -> Constraint:
     """Parse a single constraint string under the strict grammar.
 
     The whole string must be one constraint; whitespace around and between
@@ -332,7 +322,7 @@ def parse_constraint(text: str, bounds: TemperatureBounds = DEFAULT_BOUNDS) -> C
         else:
             message = "text does not follow the constraint grammar"
         raise ConstraintSyntaxError(message, position)
-    return _constraint_from_match(m, bounds)
+    return _constraint_from_match(m)
 
 
 def render_condition(condition: TimeCondition) -> str:
@@ -354,9 +344,9 @@ def render_constraint(constraint: Constraint) -> str:
     return f"{constraint.variable.value} = {value} ∀ {render_condition(constraint.condition)}"
 
 
-def canonicalize(text: str, bounds: TemperatureBounds = DEFAULT_BOUNDS) -> str:
+def canonicalize(text: str) -> str:
     """Normalize a parsable constraint string to its canonical rendering."""
-    return render_constraint(parse_constraint(text, bounds))
+    return render_constraint(parse_constraint(text))
 
 
 class IssueKind(Enum):
@@ -385,9 +375,7 @@ _ISSUE_KINDS = {
 }
 
 
-def extract_constraints(
-    model_output: str, bounds: TemperatureBounds = DEFAULT_BOUNDS
-) -> tuple[list[Constraint], list[ExtractionIssue]]:
+def extract_constraints(model_output: str) -> tuple[list[Constraint], list[ExtractionIssue]]:
     """Scan raw model output for constraints; total, never raises.
 
     Returns every successfully parsed constraint in order of appearance,
@@ -402,7 +390,7 @@ def extract_constraints(
         full = _LENIENT_RE.match(model_output, start)
         if full is not None:
             try:
-                constraints.append(_constraint_from_match(full, bounds))
+                constraints.append(_constraint_from_match(full))
             except (PairingError, RangeError, ConstraintSyntaxError) as exc:
                 kind = _ISSUE_KINDS[type(exc)]
                 issues.append(ExtractionIssue(start, full.end(), full.group(), kind, str(exc)))

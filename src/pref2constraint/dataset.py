@@ -21,13 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .constraints import (
-    Constraint,
-    ConstraintError,
-    TemperatureBounds,
-    DEFAULT_BOUNDS,
-    parse_constraint,
-)
+from .constraints import Constraint, ConstraintError, parse_constraint
 from .errors import Pref2ConstraintError
 
 SPAN_KINDS = ("time", "temperature")
@@ -111,9 +105,7 @@ def _validate_spans(text: str, raw_spans: list, line_number: int) -> tuple[Span,
     return tuple(spans)
 
 
-def _record_from_dict(
-    raw: dict, line_number: int, bounds: TemperatureBounds
-) -> GoldRecord:
+def _record_from_dict(raw: dict, line_number: int) -> GoldRecord:
     missing = {"id", "text", "spans", "constraints"} - set(raw)
     if missing:
         raise SchemaError(f"missing field(s) {sorted(missing)}", line_number)
@@ -129,7 +121,7 @@ def _record_from_dict(
     constraints = []
     for constraint_text in constraint_texts:
         try:
-            constraints.append(parse_constraint(constraint_text, bounds))
+            constraints.append(parse_constraint(constraint_text))
         except ConstraintError as exc:
             raise ConstraintParseError(
                 f"gold constraint {constraint_text!r}: {exc}", line_number
@@ -137,9 +129,7 @@ def _record_from_dict(
     return GoldRecord(record_id, text, spans, tuple(constraints), constraint_texts)
 
 
-def load_dataset(
-    path: str | Path, bounds: TemperatureBounds = DEFAULT_BOUNDS
-) -> list[GoldRecord]:
+def load_dataset(path: str | Path) -> list[GoldRecord]:
     """Load and validate a JSONL corpus, preserving record order."""
     records = []
     seen_ids: set[str] = set()
@@ -151,7 +141,7 @@ def load_dataset(
                 raw = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"invalid JSON: {exc}", line_number) from exc
-            record = _record_from_dict(raw, line_number, bounds)
+            record = _record_from_dict(raw, line_number)
             if record.id in seen_ids:
                 raise SchemaError(f"duplicate record id {record.id!r}", line_number)
             seen_ids.add(record.id)
@@ -185,7 +175,7 @@ def load_pilot_corpus() -> list[GoldRecord]:
     return load_dataset(pilot_corpus_path())
 
 
-def tag_utterance(record: GoldRecord, tag: str = TAG_NAME) -> str:
+def tag_utterance(record: GoldRecord) -> str:
     """Wrap each preference span of the utterance in an XML tag.
 
     Spans are applied right-to-left so earlier offsets stay valid; text
@@ -196,9 +186,9 @@ def tag_utterance(record: GoldRecord, tag: str = TAG_NAME) -> str:
         tag_type = TAG_TYPES[span.kind]
         text = (
             text[: span.start]
-            + f'<{tag} type="{tag_type}">'
+            + f'<{TAG_NAME} type="{tag_type}">'
             + text[span.start : span.end]
-            + f"</{tag}>"
+            + f"</{TAG_NAME}>"
             + text[span.end :]
         )
     return text

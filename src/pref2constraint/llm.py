@@ -36,6 +36,8 @@ from .prompting import select_examples  # noqa: F401
 
 
 DEFAULT_CONCURRENCY = 4  # completion requests in flight in run_experiment
+RETRY_WAITS_S = (0.5, 1.0, 2.0)  # pause before each retry of a transient failure
+REQUEST_TIMEOUT_S = 60.0  # per remote completion request
 
 
 class BackendError(Pref2ConstraintError):
@@ -153,16 +155,9 @@ class OpenAICompatBackend:
 
     name = "openai-compat"
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key: str,
-        timeout: float = 60.0,
-        session: requests.Session | None = None,
-    ):
+    def __init__(self, endpoint: str, api_key: str, session: requests.Session | None = None):
         self.endpoint = endpoint.rstrip("/")
         self.api_key = api_key
-        self.timeout = timeout
         self.session = session or requests.Session()
 
     def send(self, request: CompletionRequest) -> ModelResponse:
@@ -182,10 +177,10 @@ class OpenAICompatBackend:
                 f"{self.endpoint}/chat/completions",
                 json=payload,
                 headers={"Authorization": f"Bearer {self.api_key}"},
-                timeout=self.timeout,
+                timeout=REQUEST_TIMEOUT_S,
             )
         except requests.Timeout as exc:
-            raise CompletionTimeoutError(f"request timed out after {self.timeout}s") from exc
+            raise CompletionTimeoutError(f"request timed out after {REQUEST_TIMEOUT_S}s") from exc
         except requests.RequestException as exc:
             raise ServerError(f"request failed: {exc}") from exc
         latency_ms = (time.perf_counter() - started) * 1000
@@ -210,23 +205,17 @@ class OpenAICompatBackend:
 
 
 def complete(
-    backend: Backend,
-    request: CompletionRequest,
-    retries: int = 3,
-    backoff_base: float = 0.5,
-    backoff_cap: float = 8.0,
-    sleep: Callable[[float], None] = time.sleep,
+    backend: Backend, request: CompletionRequest, sleep: Callable[[float], None] = time.sleep
 ) -> ModelResponse:
-    """Send one completion, retrying transient failures with capped backoff."""
-    attempt = 0
-    while True:
+    """Send one completion, retrying a transient failure after each of RETRY_WAITS_S."""
+    for wait in RETRY_WAITS_S:
         try:
             return backend.send(request)
         except BackendError as exc:
-            if not exc.transient or attempt >= retries:
+            if not exc.transient:
                 raise
-            sleep(min(backoff_cap, backoff_base * 2**attempt))
-            attempt += 1
+        sleep(wait)
+    return backend.send(request)
 
 
 def file_sha256(path: str | Path) -> str:
@@ -248,6 +237,10 @@ class RunManifest:
     decoding: DecodingConfig
     seed: int
     timestamp: str
+
+    def __post_init__(self) -> None:
+        if len(set(self.shot_labels)) != len(self.shot_labels):
+            raise ConfigError(f"shot labels must not repeat, got {','.join(self.shot_labels)}")
 
     @classmethod
     def create(
@@ -382,8 +375,6 @@ def run_experiment(
     backend: Backend,
     outputs_path: str | Path,
     concurrency: int = DEFAULT_CONCURRENCY,
-    retries: int = 3,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> RunSummary:
     """Complete every (record, shot) pair not yet in the outputs file.
 
@@ -394,6 +385,8 @@ def run_experiment(
     its timestamp and dataset path (the dataset is compared by SHA-256), and
     is kept; otherwise ``manifest`` is written first.
     """
+    if concurrency < 1:
+        raise ConfigError(f"concurrency must be >= 1, got {concurrency}")
     outputs_path = Path(outputs_path)
     current_hash = file_sha256(manifest.dataset_path)
     if current_hash != manifest.dataset_sha256:
@@ -431,7 +424,7 @@ def run_experiment(
     def run_one(item: tuple[str, str, str]) -> ModelResponse | BackendError:
         request = CompletionRequest(item[2], manifest.model_id, manifest.decoding)
         try:
-            return complete(backend, request, retries=retries, sleep=sleep)
+            return complete(backend, request)
         except BackendError as exc:
             return exc
 
@@ -441,7 +434,7 @@ def run_experiment(
             json.dump(manifest.to_dict(), handle, ensure_ascii=False, indent=2)
             handle.write("\n")
     with open(outputs_path, "a", encoding="utf-8") as out, ThreadPoolExecutor(
-        max_workers=max(1, concurrency)
+        max_workers=concurrency
     ) as pool:
         for (record_id, shot_label, prompt), result in zip(work, pool.map(run_one, work)):
             if isinstance(result, BackendError):

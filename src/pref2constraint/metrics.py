@@ -1,11 +1,13 @@
 """Scoring for generated constraints: character n-gram F-score and accuracies.
 
-chrF here works on whitespace-stripped strings and averages clipped n-gram
-precision over the orders where the hypothesis has at least one n-gram,
-and recall over the orders where the reference has one; orders empty on
-both sides are skipped.  (The alternative "effective order" convention of
-sacrebleu, which divides by the full order count, is deliberately not
-used; the skip convention keeps chrf(x, x) = 100 for short strings.)
+chrF here is the balanced F-score (β = 1) over character n-grams of
+orders 1 to 6.  It works on whitespace-stripped strings and averages
+clipped n-gram precision over the orders where the hypothesis has at
+least one n-gram, and recall over the orders where the reference has
+one; orders empty on both sides are skipped.  (The alternative
+"effective order" convention of sacrebleu, which divides by the full
+order count, is deliberately not used; the skip convention keeps
+chrf(x, x) = 100 for short strings.)
 Scores are scaled to 0..100.  ``chrf()`` raises ``EmptyInputError`` when a
 side is empty after stripping; in an ``evaluate_run`` report the same counts
 give such an utterance 0.0, and ``corpus_chrf`` pools the counts of every
@@ -49,49 +51,47 @@ class MissingGoldError(MetricsError):
     pass
 
 
-def chrf_counts(
-    reference: str, hypothesis: str, max_n: int = 6
-) -> tuple[list[int], list[int], list[int]]:
+CHRF_ORDERS = range(1, 7)  # character n-gram orders 1..6
+
+
+def chrf_counts(reference: str, hypothesis: str) -> tuple[list[int], list[int], list[int]]:
     """Per-order (matched, hypothesis total, reference total) n-gram counts.
 
     A string of length L has max(0, L - n + 1) n-grams of order n; only the
     clipped overlap needs counting.
     """
-    orders = range(1, max_n + 1)
     matched = []
-    for n in orders:
+    for n in CHRF_ORDERS:
         ref_counts = Counter(reference[i : i + n] for i in range(len(reference) - n + 1))
         hyp_counts = Counter(hypothesis[i : i + n] for i in range(len(hypothesis) - n + 1))
         matched.append(sum((ref_counts & hyp_counts).values()))
-    hyp_totals = [max(0, len(hypothesis) - n + 1) for n in orders]
-    ref_totals = [max(0, len(reference) - n + 1) for n in orders]
+    hyp_totals = [max(0, len(hypothesis) - n + 1) for n in CHRF_ORDERS]
+    ref_totals = [max(0, len(reference) - n + 1) for n in CHRF_ORDERS]
     return matched, hyp_totals, ref_totals
 
 
-def _combine(matched: list[int], hyp_totals: list[int], ref_totals: list[int], beta: float) -> float:
+def _combine(matched: list[int], hyp_totals: list[int], ref_totals: list[int]) -> float:
+    """The F-score at β = 1 of mean precision and mean recall, in 0..100."""
     precisions = [m / h for m, h in zip(matched, hyp_totals) if h > 0]
     recalls = [m / r for m, r in zip(matched, ref_totals) if r > 0]
     chr_p = sum(precisions) / len(precisions) if precisions else 0.0
     chr_r = sum(recalls) / len(recalls) if recalls else 0.0
     if chr_p == 0.0 and chr_r == 0.0:
         return 0.0
-    beta_sq = beta * beta
-    return 100.0 * (1 + beta_sq) * chr_p * chr_r / (chr_r + beta_sq * chr_p)
+    return 100.0 * 2.0 * chr_p * chr_r / (chr_r + chr_p)
 
 
 def strip_whitespace(text: str) -> str:
     return "".join(text.split())
 
 
-def chrf(reference: str, hypothesis: str, beta: float = 1.0, max_n: int = 6) -> float:
+def chrf(reference: str, hypothesis: str) -> float:
     """Character n-gram F-score between two strings, in 0..100."""
-    if beta <= 0:
-        raise MetricsError(f"beta must be > 0, got {beta}")
     ref = strip_whitespace(reference)
     hyp = strip_whitespace(hypothesis)
     if not ref or not hyp:
         raise EmptyInputError("chrf needs non-empty strings after whitespace stripping")
-    return _combine(*chrf_counts(ref, hyp, max_n), beta)
+    return _combine(*chrf_counts(ref, hyp))
 
 
 def _match_counts(gold: Sequence[Constraint], extracted: Sequence[Constraint]) -> tuple[int, int]:
@@ -198,7 +198,6 @@ def evaluate_run(
     outputs_path: str | Path,
     gold: list[GoldRecord],
     model_id: str | None = None,
-    beta: float = 1.0,
     corpus_chrf: bool = False,
 ) -> list[EvalReport]:
     """Score an outputs file against the gold corpus, one report per shot.
@@ -225,7 +224,7 @@ def evaluate_run(
     reports = []
     for shot, rows in responses.items():
         scored: list[UtteranceScore] = []
-        pooled = [0] * 6, [0] * 6, [0] * 6
+        pooled = [[0] * len(CHRF_ORDERS) for _ in range(3)]
         for record_id, response in rows.items():
             record = by_id[record_id]
             constraints, issues = extract_constraints(response)
@@ -237,7 +236,7 @@ def evaluate_run(
             scored.append(
                 UtteranceScore(
                     record_id=record_id,
-                    chrf=_combine(*counts, beta),
+                    chrf=_combine(*counts),
                     n_gold=len(record.constraints),
                     n_parsed=len(constraints),
                     n_issues=len(issues),
@@ -246,7 +245,7 @@ def evaluate_run(
                 )
             )
         if corpus_chrf:
-            shot_chrf = _combine(*pooled, beta)
+            shot_chrf = _combine(*pooled)
         else:  # every shot has at least one line
             shot_chrf = sum(u.chrf for u in scored) / len(scored)
         variables = _mean_ratio((u.matched_variables, u.n_gold) for u in scored)

@@ -92,8 +92,17 @@ class ScheduleProblem:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScheduleProblem":
+        """Read a problem from a JSON file; a missing or ill-typed field is a SchedulerError."""
         with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+            data = json.load(handle)
+        if not isinstance(data, dict):
+            raise SchedulerError(f"{path}: expected a JSON object, got {type(data).__name__}")
+        try:
+            return cls.from_dict(data)
+        except KeyError as exc:
+            raise SchedulerError(f"{path}: missing field {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise SchedulerError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,18 @@ class TestRunAndEval:
         assert not outputs.exists() and not manifest_path_for(outputs).exists()
 
     @pytest.mark.parametrize(
+        "flags,named",
+        [(("--shots", "0s,0s"), "shot labels"), (("--concurrency", "0"), "concurrency")],
+        ids=["repeated-shot", "zero-concurrency"],
+    )
+    def test_run_rejects_bad_settings_before_writing(self, capsys, tmp_path, flags, named):
+        outputs = tmp_path / "run.jsonl"
+        code, out, err = run_cli(capsys, "run", "--out", str(outputs), *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("ConfigError: ") and named in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "bad_line",
         ["not json", '{"record_id": "u02", "shot": "0s"}'],
         ids=["bad-json", "missing-field"],
@@ -256,6 +268,25 @@ class TestScheduleCommands:
         assert code == 1
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("command", ["schedule", "check-functional"])
+    @pytest.mark.parametrize(
+        "payload,named",
+        [
+            ({}, "missing field 'slot_minutes'"),
+            ([1, 2], "expected a JSON object, got list"),
+            ({"slot_minutes": 60, "pv": [], "base_load": []}, "missing field 'appliance'"),
+            ({"slot_minutes": 60, "appliance": {}}, "missing field 'power_kw'"),
+        ],
+        ids=["empty", "array", "no-appliance", "no-power"],
+    )
+    def test_malformed_problem_is_one_line_error(self, capsys, tmp_path, command, payload, named):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(payload), "utf-8")
+        gold = ("--gold", "s_t = 1 ∀ t") if command == "check-functional" else ()
+        code, out, err = run_cli(capsys, command, "--problem", str(path), *gold)
+        assert code == 1 and out == ""
+        assert err == f"SchedulerError: {path}: {named}\n"
 
     def test_schedule_text_timeline(self, capsys, problem_file):
         code, out, _ = run_cli(capsys, "schedule", "--problem", str(problem_file))

@@ -13,7 +13,6 @@ from pref2constraint.constraints import (
     PairingError,
     Range,
     RangeError,
-    TemperatureBounds,
     TimePoint,
     Until,
     Variable,
@@ -72,9 +71,14 @@ class TestStrictParse:
         with pytest.raises(RangeError):
             parse_constraint("h_t = 95 ∀ t")
 
-    def test_custom_bounds(self):
-        bounds = TemperatureBounds(5.0, 100.0)
-        assert parse_constraint("h_t = 95 ∀ t", bounds).value == Degrees(95.0)
+    @pytest.mark.parametrize("text,value", [("h_t = 10 ∀ t", 10.0), ("h_t = 60 ∀ t", 60.0)])
+    def test_temperature_range_ends_are_allowed(self, text, value):
+        assert parse_constraint(text).value == Degrees(value)
+
+    @pytest.mark.parametrize("text", ["h_t = 9,5 ∀ t", "h_t = 60,5 ∀ t"])
+    def test_temperature_just_outside_the_range(self, text):
+        with pytest.raises(RangeError):
+            parse_constraint(text)
 
     def test_reversed_range_rejected(self):
         with pytest.raises(RangeError):
@@ -305,6 +309,16 @@ class TestExtract:
         constraints, issues = extract_constraints("h_t = 95 ∀ t")
         assert constraints == []
         assert [issue.kind for issue in issues] == [IssueKind.RANGE]
+
+    @pytest.mark.parametrize("text", ["h_t = 9,5 ∀ t", "h_t = 60,5 ∀ t"])
+    def test_temperature_just_outside_the_range_is_issue(self, text):
+        constraints, issues = extract_constraints(text)
+        assert constraints == []
+        assert [issue.kind for issue in issues] == [IssueKind.RANGE]
+
+    @pytest.mark.parametrize("text", ["h_t = 10 ∀ t", "h_t = 60 ∀ t"])
+    def test_temperature_range_ends_are_extracted(self, text):
+        assert extract_constraints(text) == ([parse_constraint(text)], [])
 
     def test_malformed_candidate_mid_text(self):
         constraints, issues = extract_constraints("s_t = acceso ∀ t, mi pare")

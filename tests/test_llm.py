@@ -27,6 +27,7 @@ from pref2constraint.llm import (
     complete,
     manifest_path_for,
     prompt_digest,
+    read_manifest,
     run_experiment,
 )
 from pref2constraint.metrics import CorruptOutputsError, evaluate_run
@@ -102,34 +103,34 @@ class TestCompleteRetries:
     def test_transient_errors_retried(self):
         backend = FlakyBackend([RateLimitedError("429"), ServerError("503")])
         naps = []
-        response = complete(backend, request(), retries=3, sleep=naps.append)
+        response = complete(backend, request(), sleep=naps.append)
         assert response.text == "ok"
         assert backend.calls == 3
         assert naps == [0.5, 1.0]
 
-    def test_backoff_is_capped(self):
+    def test_three_retries_after_fixed_waits(self):
         backend = FlakyBackend([ServerError("x")] * 6)
         naps = []
         with pytest.raises(ServerError):
-            complete(backend, request(), retries=5, backoff_cap=2.0, sleep=naps.append)
-        assert max(naps) == 2.0
+            complete(backend, request(), sleep=naps.append)
+        assert naps == [0.5, 1.0, 2.0]
 
     def test_budget_exhaustion_raises_last_error(self):
         backend = FlakyBackend([RateLimitedError("slow down")] * 10)
         with pytest.raises(RateLimitedError):
-            complete(backend, request(), retries=2, sleep=lambda _: None)
-        assert backend.calls == 3
+            complete(backend, request(), sleep=lambda _: None)
+        assert backend.calls == 4
 
     def test_permanent_errors_not_retried(self):
         backend = FlakyBackend([AuthError("no")])
         with pytest.raises(AuthError):
-            complete(backend, request(), retries=5, sleep=lambda _: None)
+            complete(backend, request(), sleep=lambda _: None)
         assert backend.calls == 1
 
     def test_mock_miss_not_retried(self):
         backend = MockBackend({})
         with pytest.raises(MockMissError):
-            complete(backend, request(), retries=5, sleep=lambda _: None)
+            complete(backend, request(), sleep=lambda _: None)
 
 
 class FakeReply:
@@ -363,6 +364,13 @@ class TestRunExperiment:
         with pytest.raises(CorruptManifestError, match=re.escape(message)):
             run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
 
+    def test_repeated_shot_label_in_manifest_is_corrupt(self, pilot_manifest, tmp_path):
+        outputs = tmp_path / "run.jsonl"
+        data = {**pilot_manifest.to_dict(), "shot_labels": ["0s", "1s", "0s"]}
+        manifest_path_for(outputs).write_text(json.dumps(data), "utf-8")
+        with pytest.raises(CorruptManifestError, match="shot labels must not repeat"):
+            read_manifest(outputs)
+
     def test_each_shot_takes_a_prefix_of_one_ranking(self, pilot_manifest, pilot_records, tmp_path):
         def lines_by_pair(path):
             lines = path.read_text("utf-8").splitlines(keepends=True)
@@ -492,7 +500,7 @@ class TestRunExperiment:
             seed=0,
         )
         outputs = tmp_path / "run.jsonl"
-        summary = run_experiment(manifest, pilot_records[:3], MockBackend({}), outputs, retries=0)
+        summary = run_experiment(manifest, pilot_records[:3], MockBackend({}), outputs)
         assert summary.completed == 0
         assert len(summary.failures) == 3
         assert outputs.read_text("utf-8") == ""
