@@ -31,13 +31,13 @@ from pref2constraint.constraints import (  # noqa: E402
 )
 from pref2constraint.dataset import GoldRecord, load_pilot_corpus, mock_fixtures_path  # noqa: E402
 from pref2constraint.llm import prompt_digest  # noqa: E402
-from pref2constraint.prompting import PromptSpec, ShotSetting, build_prompt, select_examples  # noqa: E402
+from pref2constraint.prompting import SHOT_LABELS, PromptSpec, ShotSetting, build_prompt, select_examples  # noqa: E402
 
 OUT = mock_fixtures_path()
 
 TEMPLATE_ID = "it"
 SEED = 0
-SHOTS = (ShotSetting.zero_shot(), ShotSetting.one_shot(), ShotSetting.few_shot(5))
+SHOTS = tuple(map(ShotSetting.from_label, SHOT_LABELS))
 
 
 def _stable_int(*parts: str) -> int:

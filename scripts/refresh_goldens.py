@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from pref2constraint.dataset import load_pilot_corpus, mock_fixtures_path, pilot_corpus_path  # noqa: E402
 from pref2constraint.llm import MockBackend, RunManifest, run_experiment  # noqa: E402
 from pref2constraint.metrics import evaluate_run, reports_to_json  # noqa: E402
-from pref2constraint.prompting import PromptSpec, ShotSetting, build_prompt, select_examples  # noqa: E402
+from pref2constraint.prompting import SHOT_LABELS, PromptSpec, ShotSetting, build_prompt, select_examples  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "goldens"
 
@@ -31,7 +31,7 @@ TEMPLATE_ID = "it"
 def refresh_prompts() -> None:
     records = load_pilot_corpus()
     target = next(r for r in records if r.id == TARGET_ID)
-    for shot in (ShotSetting.zero_shot(), ShotSetting.one_shot(), ShotSetting.few_shot(5)):
+    for shot in map(ShotSetting.from_label, SHOT_LABELS):
         example_ids = tuple(select_examples(records, TARGET_ID, shot.n_examples, SEED))
         prompt = build_prompt(PromptSpec(TEMPLATE_ID, shot, example_ids, target), records)
         out = GOLDEN_DIR / f"prompt_{shot.label}.txt"
@@ -44,7 +44,7 @@ def refresh_eval_report() -> None:
     manifest = RunManifest.create(
         dataset_path=pilot_corpus_path(),
         template_id=TEMPLATE_ID,
-        shot_labels=("0s", "1s", "fs"),
+        shot_labels=SHOT_LABELS,
         model_id="mock-model",
         seed=SEED,
     )

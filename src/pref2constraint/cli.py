@@ -35,6 +35,7 @@ from .metrics import evaluate_run, render_table, reports_to_json
 from .prompting import (
     DEFAULT_TEMPLATE_ID,
     MAX_FEW_SHOT,
+    SHOT_LABELS,
     PromptSpec,
     ShotSetting,
     build_prompt,
@@ -105,7 +106,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _target_record(args: argparse.Namespace) -> tuple[list[GoldRecord], GoldRecord]:
-    """The dataset and its record ``args.target_id`` (the last with that id)."""
+    """The dataset and its record ``args.target_id``."""
     records = load_dataset(_dataset_path(args))
     by_id = {r.id: r for r in records}
     if args.target_id not in by_id:
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("prompt", cmd_prompt, "build one prompt")
     p.add_argument("--data", help="corpus path (default: shipped pilot corpus)")
     p.add_argument("--target-id", required=True)
-    p.add_argument("--shot", choices=["0s", "1s", "fs"], default="0s")
+    p.add_argument("--shot", choices=SHOT_LABELS, default="0s")
     p.add_argument("--k", type=int, default=MAX_FEW_SHOT, help="examples in the fs setting")
     p.add_argument("--template", default=DEFAULT_TEMPLATE_ID)
     p.add_argument("--seed", type=int, default=0)
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--endpoint", help="remote endpoint base URL (or env/config)")
     p.add_argument("--api-key", help="remote API key (or env/config)")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--shots", default="0s,1s,fs", help="comma-separated shot labels")
+    p.add_argument("--shots", default=",".join(SHOT_LABELS), help="comma-separated shot labels")
     p.add_argument("--k", type=int, default=MAX_FEW_SHOT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--template", default=DEFAULT_TEMPLATE_ID)

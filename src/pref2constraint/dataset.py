@@ -81,6 +81,8 @@ class GoldRecord:
 def _validate_spans(text: str, raw_spans: list, line_number: int) -> tuple[Span, ...]:
     spans = []
     for raw in raw_spans:
+        if not isinstance(raw, dict):
+            raise SchemaError("each span must be a JSON object", line_number)
         missing = {"start", "end", "kind"} - set(raw)
         if missing:
             raise SchemaError(f"span missing field(s) {sorted(missing)}", line_number)
@@ -105,7 +107,9 @@ def _validate_spans(text: str, raw_spans: list, line_number: int) -> tuple[Span,
     return tuple(spans)
 
 
-def _record_from_dict(raw: dict, line_number: int) -> GoldRecord:
+def _record_from_dict(raw: object, line_number: int) -> GoldRecord:
+    if not isinstance(raw, dict):
+        raise SchemaError("a record must be a JSON object", line_number)
     missing = {"id", "text", "spans", "constraints"} - set(raw)
     if missing:
         raise SchemaError(f"missing field(s) {sorted(missing)}", line_number)
@@ -116,6 +120,8 @@ def _record_from_dict(raw: dict, line_number: int) -> GoldRecord:
         raise SchemaError("'spans' and 'constraints' must be arrays", line_number)
     spans = _validate_spans(text, raw["spans"], line_number)
     constraint_texts = tuple(raw["constraints"])
+    if not all(isinstance(c, str) for c in constraint_texts):
+        raise SchemaError("each constraint must be a string", line_number)
     if spans and not constraint_texts:
         raise SchemaError("record with preference spans must carry at least one constraint", line_number)
     constraints = []

@@ -10,6 +10,7 @@ optimizer.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable
@@ -119,12 +120,24 @@ class GroundedAssignment:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroundedAssignment":
-        horizon = Horizon(int(data["slot_minutes"]))
+        """Read the JSON form; an ill-typed field is a TypeError naming it."""
+        horizon = Horizon(int_field(data, "slot_minutes"))
+        for v in data["state"]:
+            if v is not None and not (type(v) is int and v in (0, 1)):
+                raise TypeError(f"'state' entries must be 0, 1 or null, got {json.dumps(v)}")
         return cls(
             horizon,
-            [None if v is None else int(v) for v in data["state"]],
+            list(data["state"]),
             [None if v is None else float(v) for v in data["temperature"]],
         )
+
+
+def int_field(data: dict, name: str) -> int:
+    """``data[name]`` if it is a JSON integer (not a float or a boolean); else a TypeError."""
+    value = data[name]
+    if type(value) is not int:
+        raise TypeError(f"{name!r} must be an integer, got {json.dumps(value)}")
+    return value
 
 
 def _slot_range(window: tuple[int, int], horizon: Horizon) -> range:

@@ -406,11 +406,10 @@ def run_experiment(
                 f"{outputs_path} was run with another configuration "
                 f"(differing fields: {', '.join(differing)})"
             )
+    examples = ExamplePool(records, manifest.seed)  # refuses a repeated id before _resume writes
     done, dropped_tail = _resume(outputs_path)
     summary = RunSummary(skipped=len(done), dropped_tail=dropped_tail)
 
-    examples = ExamplePool(records, manifest.seed)
-    by_id = {record.id: record for record in records}  # last record wins, as in build_prompt
     work: list[tuple[str, str, str]] = []  # (record_id, shot label, prompt)
     for record in records:
         pending = [shot for shot in manifest.shots if (record.id, shot.label) not in done]
@@ -418,7 +417,7 @@ def run_experiment(
         ranked = examples.select(record.id, max((s.n_examples for s in pending), default=0))
         for shot in pending:
             spec = PromptSpec(manifest.template_id, shot, tuple(ranked[: shot.n_examples]), record)
-            chosen = [by_id[example_id] for example_id in spec.example_ids]
+            chosen = [examples.records[example_id] for example_id in spec.example_ids]
             work.append((record.id, shot.label, build_prompt(spec, chosen)))
 
     def run_one(item: tuple[str, str, str]) -> ModelResponse | BackendError:

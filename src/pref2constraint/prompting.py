@@ -19,6 +19,7 @@ from .constraints import Constraint, render_constraint
 from .errors import Pref2ConstraintError
 
 MAX_FEW_SHOT = 5
+SHOT_LABELS = ("0s", "1s", "fs")  # zero-, one- and few-shot, by example count
 
 
 class PromptingError(Pref2ConstraintError):
@@ -55,41 +56,22 @@ class ShotSetting:
 
     @property
     def label(self) -> str:
-        if self.n_examples == 0:
-            return "0s"
-        if self.n_examples == 1:
-            return "1s"
-        return "fs"
-
-    @classmethod
-    def zero_shot(cls) -> "ShotSetting":
-        return cls(0)
-
-    @classmethod
-    def one_shot(cls) -> "ShotSetting":
-        return cls(1)
-
-    @classmethod
-    def few_shot(cls, k: int = MAX_FEW_SHOT) -> "ShotSetting":
-        if not 2 <= k <= MAX_FEW_SHOT:
-            raise PromptingError(f"few-shot k must be in 2..{MAX_FEW_SHOT}, got {k}")
-        return cls(k)
+        return SHOT_LABELS[min(self.n_examples, 2)]
 
     @classmethod
     def from_label(cls, label: str, few_shot_k: int = MAX_FEW_SHOT) -> "ShotSetting":
-        if label == "0s":
-            return cls.zero_shot()
-        if label == "1s":
-            return cls.one_shot()
-        if label == "fs":
-            return cls.few_shot(few_shot_k)
-        raise PromptingError(f"unknown shot label {label!r} (expected 0s, 1s or fs)")
+        if label not in SHOT_LABELS:
+            expected = f"{', '.join(SHOT_LABELS[:-1])} or {SHOT_LABELS[-1]}"
+            raise PromptingError(f"unknown shot label {label!r} (expected {expected})")
+        if label != "fs":
+            return cls(SHOT_LABELS.index(label))
+        if not 2 <= few_shot_k <= MAX_FEW_SHOT:
+            raise PromptingError(f"few-shot k must be in 2..{MAX_FEW_SHOT}, got {few_shot_k}")
+        return cls(few_shot_k)
 
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    template_id: str
-    resource: str
     example_label: str
     constraints_label: str
     examples_header: str
@@ -98,8 +80,6 @@ class PromptTemplate:
 
 TEMPLATES: dict[str, PromptTemplate] = {
     "it": PromptTemplate(
-        template_id="it",
-        resource="it.txt",
         example_label="Frase:",
         constraints_label="Vincoli:",
         examples_header="## Esempi",
@@ -112,8 +92,6 @@ TEMPLATES: dict[str, PromptTemplate] = {
         ),
     ),
     "en": PromptTemplate(
-        template_id="en",
-        resource="en.txt",
         example_label="Sentence:",
         constraints_label="Constraints:",
         examples_header="## Examples",
@@ -157,8 +135,8 @@ def get_template(template_id: str) -> PromptTemplate:
 
 
 @functools.cache
-def _template_text(template: PromptTemplate) -> str:
-    return resource_path("templates", template.resource).read_text(encoding="utf-8")
+def _template_text(template_id: str) -> str:
+    return resource_path("templates", f"{template_id}.txt").read_text(encoding="utf-8")
 
 
 def _example_block(template: PromptTemplate, record: GoldRecord) -> str:
@@ -181,7 +159,7 @@ def build_prompt(spec: PromptSpec, dataset: list[GoldRecord]) -> str:
         examples_section = f"{template.examples_header}\n{blocks}\n\n"
     else:
         examples_section = ""
-    text = _template_text(template)
+    text = _template_text(spec.template_id)
     text = text.replace("{{examples}}", examples_section)
     text = text.replace("{{target}}", tag_utterance(spec.target))
     return text
@@ -190,10 +168,10 @@ def build_prompt(spec: PromptSpec, dataset: list[GoldRecord]) -> str:
 class ExamplePool:
     """In-context example selection over one dataset and seed.
 
-    Built once per run: it indexes record positions by id and by gold
-    constraint, so each constraint is hashed once, not once per (target,
-    candidate) pair.  Positions, not ids, are indexed so that a list with a
-    repeated id is still judged record by record.
+    Built once per run: it indexes records by id (``records``) and record
+    ids by gold constraint, so each constraint is hashed once, not once per
+    (target, candidate) pair.  Record ids must be unique: a repeated id
+    raises ``PromptingError``.
 
     ``select(target_id, k)`` picks k example ids, never the target,
     deterministically from the seed.  Records sharing a gold constraint
@@ -205,28 +183,26 @@ class ExamplePool:
     """
 
     def __init__(self, dataset: list[GoldRecord], seed: int):
-        self._records = list(dataset)
+        self.records: dict[str, GoldRecord] = {}
         self._seed = seed
-        self._positions: dict[str, list[int]] = {}  # record id -> positions holding it
-        self._holders: dict[Constraint, list[int]] = {}  # gold constraint -> positions
-        for position, record in enumerate(self._records):
-            self._positions.setdefault(record.id, []).append(position)
+        self._holders: dict[Constraint, set[str]] = {}  # gold constraint -> record ids
+        for record in dataset:
+            if record.id in self.records:
+                raise PromptingError(f"duplicate record id {record.id!r}")
+            self.records[record.id] = record
             for constraint in record.constraints:
-                self._holders.setdefault(constraint, []).append(position)
+                self._holders.setdefault(constraint, set()).add(record.id)
 
     def select(self, target_id: str, k: int) -> list[str]:
         if k < 0:
             raise PromptingError(f"k must be >= 0, got {k}")
         if k == 0:
             return []
-        positions = self._positions.get(target_id, [])
-        taboo = set(positions)
-        if positions:  # the first record with the id is the target
-            for constraint in self._records[positions[0]].constraints:
-                taboo.update(self._holders[constraint])
-        candidates = [
-            record.id for position, record in enumerate(self._records) if position not in taboo
-        ]
+        taboo = {target_id}
+        if target_id in self.records:
+            for constraint in self.records[target_id].constraints:
+                taboo |= self._holders[constraint]
+        candidates = [record_id for record_id in self.records if record_id not in taboo]
         if k > len(candidates):
             raise InsufficientDataError(
                 f"need {k} examples but only {len(candidates)} records are available "

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
 from .constraints import Constraint
 from .errors import Pref2ConstraintError
-from .grounding import ConflictError, GroundedAssignment, Horizon, ground, merge
+from .grounding import ConflictError, GroundedAssignment, Horizon, ground, int_field, merge
 
 
 class SchedulerError(Pref2ConstraintError):
@@ -72,12 +72,16 @@ class ScheduleProblem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScheduleProblem":
-        horizon = Horizon(int(data["slot_minutes"]))
+        horizon = Horizon(int_field(data, "slot_minutes"))
         appliance = Appliance(
             power_kw=float(data["appliance"]["power_kw"]),
-            duration_slots=int(data["appliance"]["duration_slots"]),
-            contiguous=bool(data["appliance"].get("contiguous", True)),
+            duration_slots=int_field(data["appliance"], "duration_slots"),
+            contiguous=data["appliance"].get("contiguous", True),
         )
+        if not isinstance(appliance.contiguous, bool):
+            raise TypeError(
+                f"'contiguous' must be true or false, got {json.dumps(appliance.contiguous)}"
+            )
         if "forced" in data and data["forced"] is not None:
             forced = GroundedAssignment.from_dict(data["forced"])
         else:
@@ -217,15 +221,8 @@ def check_functional(
         forced = merge(problem.forced, generated_grounded)
     except ConflictError as exc:
         return FunctionalCheck(False, f"generated constraints clash with the problem: {exc}")
-    constrained = ScheduleProblem(
-        horizon=problem.horizon,
-        pv=problem.pv,
-        base_load=problem.base_load,
-        appliance=problem.appliance,
-        forced=forced,
-    )
     try:
-        schedule = solve(constrained)
+        schedule = solve(replace(problem, forced=forced))
     except InfeasibleError as exc:
         return FunctionalCheck(False, f"infeasible under generated constraints: {exc}")
 

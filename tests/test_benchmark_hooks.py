@@ -1,0 +1,26 @@
+"""perfbench/tracing.py wraps package attributes by name; each one must still be there.
+
+The benchmark reaches some layers through re-exports that nothing in the
+package calls (``llm.select_examples``), so a tidy-up could delete one and
+only the benchmark would notice.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_every_traced_attribute_is_callable(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # dataclasses look the module up
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    missing = [
+        f"{module.__name__}.{attribute}"
+        for module, attribute, _ in tracing.TARGETS
+        if not callable(getattr(module, attribute, None))
+    ]
+    assert missing == []

@@ -47,6 +47,13 @@ class TestValidateData:
         assert code == 1
         assert "SchemaError" in err and "line 1" in err
 
+    def test_ill_typed_line_is_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("42\n", "utf-8")
+        code, out, err = run_cli(capsys, "validate-data", "--data", str(path))
+        assert code == 1 and out == ""
+        assert err == "SchemaError: line 1: a record must be a JSON object\n"
+
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(capsys, "validate-data", "--json")
         payload = json.loads(out)
@@ -287,6 +294,44 @@ class TestScheduleCommands:
         code, out, err = run_cli(capsys, command, "--problem", str(path), *gold)
         assert code == 1 and out == ""
         assert err == f"SchedulerError: {path}: {named}\n"
+
+    @pytest.mark.parametrize("command", ["schedule", "check-functional"])
+    @pytest.mark.parametrize(
+        "field,value,named",
+        [
+            ("contiguous", "false", "'contiguous' must be true or false, got \"false\""),
+            ("contiguous", 0, "'contiguous' must be true or false, got 0"),
+            ("duration_slots", 2.9, "'duration_slots' must be an integer, got 2.9"),
+            ("duration_slots", True, "'duration_slots' must be an integer, got true"),
+            ("slot_minutes", 60.0, "'slot_minutes' must be an integer, got 60.0"),
+            ("forced.slot_minutes", "60", "'slot_minutes' must be an integer, got \"60\""),
+            ("forced.state", 2, "'state' entries must be 0, 1 or null, got 2"),
+            ("forced.state", 0.7, "'state' entries must be 0, 1 or null, got 0.7"),
+            ("forced.state", False, "'state' entries must be 0, 1 or null, got false"),
+        ],
+        ids=[
+            "contiguous-string", "contiguous-number", "duration-fraction", "duration-bool",
+            "slot-float", "forced-slot-string", "state-2", "state-fraction", "state-bool",
+        ],
+    )
+    def test_ill_typed_problem_field_is_one_line_error(
+        self, capsys, problem_file, command, field, value, named
+    ):
+        payload = json.loads(problem_file.read_text("utf-8"))
+        payload["forced"] = {"slot_minutes": 60, "state": [None] * 24, "temperature": [None] * 24}
+        if field == "forced.state":
+            payload["forced"]["state"][15] = value
+        elif field == "forced.slot_minutes":
+            payload["forced"]["slot_minutes"] = value
+        elif field == "slot_minutes":
+            payload["slot_minutes"] = value
+        else:
+            payload["appliance"][field] = value
+        problem_file.write_text(json.dumps(payload), "utf-8")
+        gold = ("--gold", "s_t = 1 ∀ t") if command == "check-functional" else ()
+        code, out, err = run_cli(capsys, command, "--problem", str(problem_file), *gold)
+        assert code == 1 and out == ""
+        assert err == f"SchedulerError: {problem_file}: {named}\n"
 
     def test_schedule_text_timeline(self, capsys, problem_file):
         code, out, _ = run_cli(capsys, "schedule", "--problem", str(problem_file))

@@ -91,6 +91,29 @@ class TestLoad:
         with pytest.raises(SchemaError):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("42", "a record must be a JSON object"),
+            ("null", "a record must be a JSON object"),
+            ('["u01"]', "a record must be a JSON object"),
+            (json.dumps(dict(SAMPLE_RECORD, spans=[5])), "each span must be a JSON object"),
+            (json.dumps(dict(SAMPLE_RECORD, spans=[None])), "each span must be a JSON object"),
+            (json.dumps(dict(SAMPLE_RECORD, constraints=[5])), "each constraint must be a string"),
+            (json.dumps(dict(SAMPLE_RECORD, constraints=[None])), "each constraint must be a string"),
+        ],
+        ids=[
+            "number", "null", "array",
+            "span-number", "span-null", "constraint-number", "constraint-null",
+        ],
+    )
+    def test_ill_typed_line_reports_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(SAMPLE_RECORD, ensure_ascii=False) + "\n" + line + "\n", "utf-8")
+        with pytest.raises(SchemaError, match=f"^line 2: {message}$") as excinfo:
+            load_dataset(path)
+        assert excinfo.value.line_number == 2
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text(json.dumps(SAMPLE_RECORD, ensure_ascii=False) + "\n{oops\n", "utf-8")

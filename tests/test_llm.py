@@ -397,36 +397,21 @@ class TestRunExperiment:
             assert len(got) == count
             assert all(line == expected[pair] for pair, line in got.items())
 
-    def test_examples_come_from_the_last_record_with_an_id(
+    def test_repeated_record_id_is_refused_before_writing(
         self, pilot_manifest, pilot_records, tmp_path
     ):
-        class ConstantBackend:
-            name = "constant"
-
-            def send(self, request):
-                return ModelResponse("x", 0.0, self.name)
-
-        # the second copy of a repeated id differs, so a first-wins lookup shows
-        records = pilot_records + [replace(r, text=r.text + " bis") for r in pilot_records[:13]]
+        records = pilot_records + pilot_records[:1]
         outputs = tmp_path / "run.jsonl"
-        run_experiment(pilot_manifest, records, ConstantBackend(), outputs)
-        expected = [
-            prompt_digest(
-                prompting.build_prompt(
-                    prompting.PromptSpec(
-                        "it",
-                        shot,
-                        tuple(prompting.select_examples(records, r.id, shot.n_examples, 0)),
-                        r,
-                    ),
-                    records,
-                )
-            )
-            for r in records
-            for shot in pilot_manifest.shots
-        ]
-        lines = [json.loads(line) for line in outputs.read_text("utf-8").splitlines()]
-        assert [line["prompt_digest"] for line in lines] == expected
+        with pytest.raises(prompting.PromptingError, match="duplicate record id 'u01'"):
+            run_experiment(pilot_manifest, records, shipped_mock_backend(), outputs)
+        assert not outputs.exists()
+        assert not manifest_path_for(outputs).exists()
+        torn = '{"record_id": "u01", "shot": "0s", "prompt_'  # resume would cut this off
+        outputs.write_text(torn, "utf-8")
+        with pytest.raises(prompting.PromptingError, match="duplicate record id 'u01'"):
+            run_experiment(pilot_manifest, records, shipped_mock_backend(), outputs)
+        assert outputs.read_text("utf-8") == torn
+        assert not manifest_path_for(outputs).exists()
 
     def test_zero_shot_run_ranks_no_examples(
         self, pilot_manifest, pilot_records, tmp_path, monkeypatch

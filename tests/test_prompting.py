@@ -28,15 +28,15 @@ def spec_for(records, target_id, shot, seed=0, template="it"):
 
 class TestShotSetting:
     def test_labels(self):
-        assert ShotSetting.zero_shot().label == "0s"
-        assert ShotSetting.one_shot().label == "1s"
-        assert ShotSetting.few_shot(5).label == "fs"
+        assert ShotSetting(0).label == "0s"
+        assert ShotSetting(1).label == "1s"
+        assert ShotSetting(5).label == "fs"
 
     def test_few_shot_bounds(self):
         with pytest.raises(PromptingError):
-            ShotSetting.few_shot(1)
+            ShotSetting.from_label("fs", 1)
         with pytest.raises(PromptingError):
-            ShotSetting.few_shot(6)
+            ShotSetting.from_label("fs", 6)
 
     def test_from_label(self):
         assert ShotSetting.from_label("fs", 3).n_examples == 3
@@ -46,7 +46,7 @@ class TestShotSetting:
 
 class TestBuildPrompt:
     def test_zero_shot_has_no_examples(self, pilot_records):
-        prompt = build_prompt(spec_for(pilot_records, "u01", ShotSetting.zero_shot()), pilot_records)
+        prompt = build_prompt(spec_for(pilot_records, "u01", ShotSetting(0)), pilot_records)
         template = get_template("it")
         assert template.examples_header not in prompt
         assert prompt.count(template.example_label) == 1  # the target line only
@@ -55,26 +55,26 @@ class TestBuildPrompt:
         assert positions == sorted(positions)
 
     def test_one_shot_block_count(self, pilot_records):
-        prompt = build_prompt(spec_for(pilot_records, "u01", ShotSetting.one_shot()), pilot_records)
+        prompt = build_prompt(spec_for(pilot_records, "u01", ShotSetting(1)), pilot_records)
         template = get_template("it")
         assert prompt.count(template.example_label) == 2
         assert prompt.count(template.constraints_label) == 2
 
     def test_few_shot_blocks_sit_between_format_and_target(self, pilot_records):
-        prompt = build_prompt(spec_for(pilot_records, "u01", ShotSetting.few_shot(5)), pilot_records)
+        prompt = build_prompt(spec_for(pilot_records, "u01", ShotSetting(5)), pilot_records)
         template = get_template("it")
         assert prompt.count(template.example_label) == 6
         positions = [prompt.index(m) for m in template.section_markers]
         assert positions == sorted(positions)
 
     def test_deterministic(self, pilot_records):
-        spec = spec_for(pilot_records, "u05", ShotSetting.few_shot(5), seed=3)
+        spec = spec_for(pilot_records, "u05", ShotSetting(5), seed=3)
         assert build_prompt(spec, pilot_records) == build_prompt(spec, pilot_records)
 
     def test_target_constraints_never_leak(self, pilot_records):
         from pref2constraint.constraints import render_constraint
 
-        for shot in (ShotSetting.zero_shot(), ShotSetting.one_shot(), ShotSetting.few_shot(5)):
+        for shot in (ShotSetting(0), ShotSetting(1), ShotSetting(5)):
             spec = spec_for(pilot_records, "u01", shot)
             prompt = build_prompt(spec, pilot_records)
             target_block = prompt[prompt.rindex(get_template("it").section_markers[-1]):]
@@ -84,25 +84,25 @@ class TestBuildPrompt:
     def test_leakage_error(self, pilot_records):
         target = pilot_records[0]
         with pytest.raises(LeakageError):
-            PromptSpec("it", ShotSetting.one_shot(), (target.id,), target)
+            PromptSpec("it", ShotSetting(1), (target.id,), target)
 
     def test_unknown_example(self, pilot_records):
-        spec = PromptSpec("it", ShotSetting.one_shot(), ("nope",), pilot_records[0])
+        spec = PromptSpec("it", ShotSetting(1), ("nope",), pilot_records[0])
         with pytest.raises(UnknownExampleError):
             build_prompt(spec, pilot_records)
 
     def test_unknown_template(self, pilot_records):
-        spec = PromptSpec("xx", ShotSetting.zero_shot(), (), pilot_records[0])
+        spec = PromptSpec("xx", ShotSetting(0), (), pilot_records[0])
         with pytest.raises(UnknownTemplateError):
             build_prompt(spec, pilot_records)
 
     def test_spec_example_count_checked(self, pilot_records):
         with pytest.raises(PromptingError):
-            PromptSpec("it", ShotSetting.few_shot(5), ("u02",), pilot_records[0])
+            PromptSpec("it", ShotSetting(5), ("u02",), pilot_records[0])
 
     def test_english_template(self, pilot_records):
         prompt = build_prompt(
-            spec_for(pilot_records, "u01", ShotSetting.one_shot(), template="en"), pilot_records
+            spec_for(pilot_records, "u01", ShotSetting(1), template="en"), pilot_records
         )
         template = get_template("en")
         assert prompt.count(template.example_label) == 2
@@ -192,18 +192,18 @@ class TestExamplePool:
                     raised += expected == "raises"
         assert raised > 0
 
-    def test_duplicate_ids_follow_the_full_scan(self, pilot_records):
-        # A second copy reusing the ids of other records: the first record with
-        # an id is the target, and each record is kept or dropped on its own.
+    def test_repeated_id_is_refused(self, pilot_records):
+        # a second copy reusing the ids of other records: its first id is u02
         shifted = [
             replace(r, id=pilot_records[(i + 1) % len(pilot_records)].id)
             for i, r in enumerate(pilot_records)
         ]
         dataset = pilot_records + shifted
-        for record in pilot_records:
-            for k in range(MAX_FEW_SHOT + 1):
-                new, pooled, expected = selections(dataset, record.id, k, seed=3)
-                assert new == pooled == expected
+        with pytest.raises(PromptingError, match="duplicate record id 'u02'"):
+            ExamplePool(dataset, 3)
+        for k in (0, 5):
+            with pytest.raises(PromptingError, match="duplicate record id 'u02'"):
+                select_examples(dataset, "u01", k, seed=3)
 
     def test_negative_k_rejected(self, pilot_records):
         with pytest.raises(PromptingError):
