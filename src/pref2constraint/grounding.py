@@ -125,11 +125,11 @@ class GroundedAssignment:
         for v in data["state"]:
             if v is not None and not (type(v) is int and v in (0, 1)):
                 raise TypeError(f"'state' entries must be 0, 1 or null, got {json.dumps(v)}")
-        return cls(
-            horizon,
-            list(data["state"]),
-            [None if v is None else float(v) for v in data["temperature"]],
-        )
+        temperature = [
+            None if v is None else json_number(v, "'temperature' entries must be numbers or null")
+            for v in data["temperature"]
+        ]
+        return cls(horizon, list(data["state"]), temperature)
 
 
 def int_field(data: dict, name: str) -> int:
@@ -138,6 +138,13 @@ def int_field(data: dict, name: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{name!r} must be an integer, got {json.dumps(value)}")
     return value
+
+
+def json_number(value: object, rule: str) -> float:
+    """``value`` as a float if it is a JSON number (not a boolean); else a TypeError citing ``rule``."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{rule}, got {json.dumps(value)}")
+    return float(value)
 
 
 def _slot_range(window: tuple[int, int], horizon: Horizon) -> range:

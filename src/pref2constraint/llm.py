@@ -30,7 +30,7 @@ import requests
 
 from .dataset import GoldRecord
 from .errors import Pref2ConstraintError
-from .prompting import MAX_FEW_SHOT, ExamplePool, PromptSpec, ShotSetting, build_prompt
+from .prompting import MAX_FEW_SHOT, ExamplePool, PromptSpec, ShotSetting, build_prompt, get_template
 # Not called here: perfbench/tracing.py wraps llm.select_examples by name.
 from .prompting import select_examples  # noqa: F401
 
@@ -406,13 +406,16 @@ def run_experiment(
                 f"{outputs_path} was run with another configuration "
                 f"(differing fields: {', '.join(differing)})"
             )
-    examples = ExamplePool(records, manifest.seed)  # refuses a repeated id before _resume writes
+    # A repeated id, bad shot label or unknown template fails before anything is written.
+    examples = ExamplePool(records, manifest.seed)
+    shots = manifest.shots
+    get_template(manifest.template_id)
     done, dropped_tail = _resume(outputs_path)
     summary = RunSummary(skipped=len(done), dropped_tail=dropped_tail)
 
     work: list[tuple[str, str, str]] = []  # (record_id, shot label, prompt)
     for record in records:
-        pending = [shot for shot in manifest.shots if (record.id, shot.label) not in done]
+        pending = [shot for shot in shots if (record.id, shot.label) not in done]
         # One ranking per record: a shot's examples are a prefix of the longest list.
         ranked = examples.select(record.id, max((s.n_examples for s in pending), default=0))
         for shot in pending:

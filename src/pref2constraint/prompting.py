@@ -2,9 +2,9 @@
 
 A prompt always carries five sections in a fixed order: task introduction,
 XML tag semantics, constraint format, optional in-context examples, and
-the target utterance.  Templates are UTF-8 text files with ``{{examples}}``
-and ``{{target}}`` placeholders; each template fixes its own example labels
-so prompts are byte-stable and easy to pin in golden-file tests.
+the target utterance.  A template is one UTF-8 file, ``templates/<id>.txt``,
+with ``{{examples}}`` and ``{{target}}`` placeholders; its labels and headings
+are read from that text.  Prompts are byte-stable, pinned by golden files.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import Pref2ConstraintError
 
 MAX_FEW_SHOT = 5
 SHOT_LABELS = ("0s", "1s", "fs")  # zero-, one- and few-shot, by example count
+EXAMPLES, TARGET = "{{examples}}", "{{target}}"  # template placeholders
 
 
 class PromptingError(Pref2ConstraintError):
@@ -72,38 +73,12 @@ class ShotSetting:
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    example_label: str
-    constraints_label: str
-    examples_header: str
-    section_markers: tuple[str, str, str, str, str]
+    text: str
+    example_label: str  # text before " {{target}}" on its line
+    constraints_label: str  # the line after the target line
+    examples_header: str  # the line above "{{examples}}"
+    section_markers: tuple[str, ...]  # the "## " lines, in file order
 
-
-TEMPLATES: dict[str, PromptTemplate] = {
-    "it": PromptTemplate(
-        example_label="Frase:",
-        constraints_label="Vincoli:",
-        examples_header="## Esempi",
-        section_markers=(
-            "## Compito",
-            "## Etichette XML",
-            "## Formato dei vincoli",
-            "## Esempi",
-            "## Frase da convertire",
-        ),
-    ),
-    "en": PromptTemplate(
-        example_label="Sentence:",
-        constraints_label="Constraints:",
-        examples_header="## Examples",
-        section_markers=(
-            "## Task",
-            "## XML tags",
-            "## Constraint format",
-            "## Examples",
-            "## Sentence to convert",
-        ),
-    ),
-}
 
 DEFAULT_TEMPLATE_ID = "it"
 
@@ -125,18 +100,23 @@ class PromptSpec:
             raise LeakageError(f"target record {self.target.id!r} listed among examples")
 
 
-def get_template(template_id: str) -> PromptTemplate:
-    try:
-        return TEMPLATES[template_id]
-    except KeyError:
-        raise UnknownTemplateError(
-            f"unknown template {template_id!r}; available: {sorted(TEMPLATES)}"
-        ) from None
-
-
 @functools.cache
-def _template_text(template_id: str) -> str:
-    return resource_path("templates", f"{template_id}.txt").read_text(encoding="utf-8")
+def get_template(template_id: str) -> PromptTemplate:
+    """The template ``templates/<template_id>.txt``, read once."""
+    files = {path.stem: path for path in resource_path("templates").glob("*.txt")}
+    if template_id not in files:
+        raise UnknownTemplateError(f"unknown template {template_id!r}; available: {sorted(files)}")
+    text = files[template_id].read_text(encoding="utf-8")
+    lines = text.split("\n")
+    target = next(i for i, line in enumerate(lines) if line.endswith(f" {TARGET}"))
+    examples = lines.index(EXAMPLES)
+    return PromptTemplate(
+        text=text,
+        example_label=lines[target].removesuffix(f" {TARGET}"),
+        constraints_label=lines[target + 1],
+        examples_header=lines[examples - 1],
+        section_markers=tuple(line for line in lines if line.startswith("## ")),
+    )
 
 
 def _example_block(template: PromptTemplate, record: GoldRecord) -> str:
@@ -156,13 +136,10 @@ def build_prompt(spec: PromptSpec, dataset: list[GoldRecord]) -> str:
         examples.append(by_id[example_id])
     if examples:
         blocks = "\n\n".join(_example_block(template, r) for r in examples)
-        examples_section = f"{template.examples_header}\n{blocks}\n\n"
-    else:
-        examples_section = ""
-    text = _template_text(spec.template_id)
-    text = text.replace("{{examples}}", examples_section)
-    text = text.replace("{{target}}", tag_utterance(spec.target))
-    return text
+        text = template.text.replace(EXAMPLES, blocks)
+    else:  # drop the examples header, the placeholder and the blank line after them
+        text = template.text.replace(f"{template.examples_header}\n{EXAMPLES}\n\n", "")
+    return text.replace(TARGET, tag_utterance(spec.target))
 
 
 class ExamplePool:

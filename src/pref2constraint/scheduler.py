@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .constraints import Constraint
 from .errors import Pref2ConstraintError
-from .grounding import ConflictError, GroundedAssignment, Horizon, ground, int_field, merge
+from .grounding import ConflictError, GroundedAssignment, Horizon, ground, int_field, json_number, merge
 
 
 class SchedulerError(Pref2ConstraintError):
@@ -74,7 +74,7 @@ class ScheduleProblem:
     def from_dict(cls, data: dict) -> "ScheduleProblem":
         horizon = Horizon(int_field(data, "slot_minutes"))
         appliance = Appliance(
-            power_kw=float(data["appliance"]["power_kw"]),
+            power_kw=json_number(data["appliance"]["power_kw"], "'power_kw' must be a number"),
             duration_slots=int_field(data["appliance"], "duration_slots"),
             contiguous=data["appliance"].get("contiguous", True),
         )
@@ -88,25 +88,27 @@ class ScheduleProblem:
             forced = GroundedAssignment(horizon)
         return cls(
             horizon=horizon,
-            pv=tuple(float(v) for v in data["pv"]),
-            base_load=tuple(float(v) for v in data["base_load"]),
+            pv=tuple(json_number(v, "'pv' entries must be numbers") for v in data["pv"]),
+            base_load=tuple(
+                json_number(v, "'base_load' entries must be numbers") for v in data["base_load"]
+            ),
             appliance=appliance,
             forced=forced,
         )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScheduleProblem":
-        """Read a problem from a JSON file; a missing or ill-typed field is a SchedulerError."""
+        """Read a problem from a JSON file; any fault in it is a SchedulerError naming the file."""
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise SchedulerError(f"{path}: expected a JSON object, got {type(data).__name__}")
-        try:
-            return cls.from_dict(data)
-        except KeyError as exc:
-            raise SchedulerError(f"{path}: missing field {exc}") from exc
-        except (ValueError, TypeError) as exc:
-            raise SchedulerError(f"{path}: {exc}") from exc
+            try:
+                data = json.load(handle)
+                if not isinstance(data, dict):
+                    raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+                return cls.from_dict(data)
+            except KeyError as exc:
+                raise SchedulerError(f"{path}: missing field {exc}") from exc
+            except (ValueError, TypeError, Pref2ConstraintError) as exc:
+                raise SchedulerError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

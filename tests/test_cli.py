@@ -189,6 +189,31 @@ class TestRunAndEval:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "flags,error",
+        [
+            (
+                ("--shots", "0s,2s"),
+                "PromptingError: unknown shot label '2s' (expected 0s, 1s or fs)\n",
+            ),
+            (
+                ("--shots", "0s", "--template", "xx"),
+                "UnknownTemplateError: unknown template 'xx'; available: ['en', 'it']\n",
+            ),
+        ],
+        ids=["bad-shot", "unknown-template"],
+    )
+    def test_run_checks_settings_before_touching_outputs(self, capsys, tmp_path, flags, error):
+        outputs = tmp_path / "run.jsonl"
+        assert run_cli(capsys, "run", "--out", str(outputs), "--shots", "0s")[0] == 0
+        manifest_path_for(outputs).unlink()
+        outputs.write_bytes(outputs.read_bytes() + b'{"record_id": "u1')  # torn last line
+        before = outputs.read_bytes()
+        code, out, err = run_cli(capsys, "run", "--out", str(outputs), *flags)
+        assert (code, out, err) == (1, "", error)
+        assert outputs.read_bytes() == before
+        assert not manifest_path_for(outputs).exists()
+
+    @pytest.mark.parametrize(
         "bad_line",
         ["not json", '{"record_id": "u02", "shot": "0s"}'],
         ids=["bad-json", "missing-field"],
@@ -308,10 +333,20 @@ class TestScheduleCommands:
             ("forced.state", 2, "'state' entries must be 0, 1 or null, got 2"),
             ("forced.state", 0.7, "'state' entries must be 0, 1 or null, got 0.7"),
             ("forced.state", False, "'state' entries must be 0, 1 or null, got false"),
+            ("power_kw", "3", "'power_kw' must be a number, got \"3\""),
+            ("power_kw", True, "'power_kw' must be a number, got true"),
+            ("pv", "0.0", "'pv' entries must be numbers, got \"0.0\""),
+            ("pv", True, "'pv' entries must be numbers, got true"),
+            ("pv", None, "'pv' entries must be numbers, got null"),
+            ("base_load", "0.1", "'base_load' entries must be numbers, got \"0.1\""),
+            ("forced.temperature", "21", "'temperature' entries must be numbers or null, got \"21\""),
+            ("forced.temperature", False, "'temperature' entries must be numbers or null, got false"),
         ],
         ids=[
             "contiguous-string", "contiguous-number", "duration-fraction", "duration-bool",
             "slot-float", "forced-slot-string", "state-2", "state-fraction", "state-bool",
+            "power-string", "power-bool", "pv-string", "pv-bool", "pv-null", "base-load-string",
+            "temperature-string", "temperature-bool",
         ],
     )
     def test_ill_typed_problem_field_is_one_line_error(
@@ -319,8 +354,10 @@ class TestScheduleCommands:
     ):
         payload = json.loads(problem_file.read_text("utf-8"))
         payload["forced"] = {"slot_minutes": 60, "state": [None] * 24, "temperature": [None] * 24}
-        if field == "forced.state":
-            payload["forced"]["state"][15] = value
+        if field in ("forced.state", "forced.temperature"):
+            payload["forced"][field.split(".")[1]][15] = value
+        elif field in ("pv", "base_load"):
+            payload[field][15] = value
         elif field == "forced.slot_minutes":
             payload["forced"]["slot_minutes"] = value
         elif field == "slot_minutes":
@@ -328,6 +365,39 @@ class TestScheduleCommands:
         else:
             payload["appliance"][field] = value
         problem_file.write_text(json.dumps(payload), "utf-8")
+        gold = ("--gold", "s_t = 1 ∀ t") if command == "check-functional" else ()
+        code, out, err = run_cli(capsys, command, "--problem", str(problem_file), *gold)
+        assert code == 1 and out == ""
+        assert err == f"SchedulerError: {problem_file}: {named}\n"
+
+    @pytest.mark.parametrize("command", ["schedule", "check-functional"])
+    @pytest.mark.parametrize(
+        "change,named",
+        [
+            ({"slot_minutes": 45}, "slot_minutes must be one of (1, 5, 15, 30, 60), got 45"),
+            (
+                {"appliance": {"power_kw": 0, "duration_slots": 2}},
+                "appliance power must be finite and > 0 kW",
+            ),
+            ({"pv": [0.0] * 23}, "pv and base_load must have 24 entries"),
+            (
+                {"appliance": {"power_kw": 3.0, "duration_slots": 25}},
+                "appliance duration exceeds the horizon",
+            ),
+            (
+                {"forced": {"slot_minutes": 30, "state": [], "temperature": []}},
+                "forced assignment horizon differs from problem horizon",
+            ),
+            (None, "Expecting value: line 1 column 1 (char 0)"),
+        ],
+        ids=["slot-45", "power-zero", "pv-length", "long-duration", "forced-horizon", "not-json"],
+    )
+    def test_problem_error_names_the_file(self, capsys, problem_file, command, change, named):
+        if change is None:
+            problem_file.write_text("", "utf-8")
+        else:
+            payload = json.loads(problem_file.read_text("utf-8"))
+            problem_file.write_text(json.dumps({**payload, **change}), "utf-8")
         gold = ("--gold", "s_t = 1 ∀ t") if command == "check-functional" else ()
         code, out, err = run_cli(capsys, command, "--problem", str(problem_file), *gold)
         assert code == 1 and out == ""

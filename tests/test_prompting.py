@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 from oracles import selection_oracle
+from pref2constraint.dataset import resource_path
 from pref2constraint.prompting import (
     MAX_FEW_SHOT,
     ExamplePool,
@@ -11,13 +12,15 @@ from pref2constraint.prompting import (
     PromptSpec,
     PromptingError,
     ShotSetting,
-    TEMPLATES,
     UnknownExampleError,
     UnknownTemplateError,
     build_prompt,
     get_template,
     select_examples,
 )
+
+
+TEMPLATE_IDS = sorted(path.stem for path in resource_path("templates").glob("*.txt"))
 
 
 def spec_for(records, target_id, shot, seed=0, template="it"):
@@ -110,8 +113,39 @@ class TestBuildPrompt:
         assert positions == sorted(positions)
 
     def test_every_template_declares_markers(self):
-        for template in TEMPLATES.values():
-            assert len(template.section_markers) == 5
+        for template_id in TEMPLATE_IDS:
+            assert len(get_template(template_id).section_markers) == 5
+
+
+@pytest.mark.parametrize("template_id", TEMPLATE_IDS)
+class TestTemplateContract:
+    """What every ``templates/*.txt`` file must hold for build_prompt to use it."""
+
+    def test_five_sections_in_order(self, template_id):
+        template = get_template(template_id)
+        assert len(set(template.section_markers)) == 5  # five distinct headings
+        assert template.section_markers[3] == template.examples_header
+        lines = template.text.split("\n")
+        target_line = lines.index(f"{template.example_label} {{{{target}}}}")
+        assert lines.index(template.section_markers[-1]) < target_line
+
+    @pytest.mark.parametrize("shot", [ShotSetting(0), ShotSetting(1), ShotSetting(5)])
+    def test_prompt_blocks(self, pilot_records, template_id, shot):
+        template = get_template(template_id)
+        spec = spec_for(pilot_records, "u01", shot, template=template_id)
+        prompt = build_prompt(spec, pilot_records)
+        k = shot.n_examples
+        assert prompt.count(template.example_label) == k + 1
+        assert prompt.count(template.constraints_label) == k + 1
+        assert (template.examples_header in prompt) == (k > 0)
+        assert "{{" not in prompt
+
+
+@pytest.mark.parametrize("template_id", ["", "IT", "../data/pilot_it"])
+def test_template_id_must_name_a_template_file(template_id):
+    with pytest.raises(UnknownTemplateError) as caught:
+        get_template(template_id)
+    assert str(caught.value) == f"unknown template {template_id!r}; available: {TEMPLATE_IDS}"
 
 
 class TestSelectExamples:
