@@ -11,7 +11,8 @@ optimizer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable
 
@@ -91,17 +92,20 @@ def condition_window(condition: TimeCondition) -> tuple[int, int]:
 
 @dataclass
 class GroundedAssignment:
-    """Per-slot forced values; None marks a slot left free for the optimizer."""
+    """Per-slot forced values; None marks a slot left free for the optimizer.
+
+    An array left out frees every slot; an array given, even ``[]``, needs one entry per slot.
+    """
 
     horizon: Horizon
-    state: list[int | None] = field(default_factory=list)
-    temperature: list[float | None] = field(default_factory=list)
+    state: list[int | None] | None = None
+    temperature: list[float | None] | None = None
 
     def __post_init__(self) -> None:
         n = self.horizon.num_slots
-        if not self.state:
+        if self.state is None:
             self.state = [None] * n
-        if not self.temperature:
+        if self.temperature is None:
             self.temperature = [None] * n
         if len(self.state) != n or len(self.temperature) != n:
             raise GroundingError(
@@ -129,6 +133,11 @@ class GroundedAssignment:
             None if v is None else json_number(v, "'temperature' entries must be numbers or null")
             for v in data["temperature"]
         ]
+        for v in temperature:
+            if v is not None and not math.isfinite(v):
+                raise GroundingError(
+                    f"'temperature' entries must be finite numbers or null, got {json.dumps(v)}"
+                )
         return cls(horizon, list(data["state"]), temperature)
 
 

@@ -17,16 +17,17 @@ the remaining items.  Resume and evaluation read the run back through
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import math
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
-
-import requests
 
 from .dataset import GoldRecord
 from .errors import Pref2ConstraintError
@@ -155,10 +156,11 @@ class OpenAICompatBackend:
 
     name = "openai-compat"
 
-    def __init__(self, endpoint: str, api_key: str, session: requests.Session | None = None):
+    def __init__(self, endpoint: str, api_key: str):
+        if not endpoint.lower().startswith(("http://", "https://")):
+            raise ConfigError(f"endpoint must be an http:// or https:// URL, got {endpoint!r}")
         self.endpoint = endpoint.rstrip("/")
         self.api_key = api_key
-        self.session = session or requests.Session()
 
     def send(self, request: CompletionRequest) -> ModelResponse:
         payload = {
@@ -171,31 +173,37 @@ class OpenAICompatBackend:
             # self-hosted compatible servers; harmless where ignored.
             "top_k": request.decoding.top_k,
         }
+        post = urllib.request.Request(
+            f"{self.endpoint}/chat/completions",
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Authorization": f"Bearer {self.api_key}", "Content-Type": "application/json"},
+        )
         started = time.perf_counter()
         try:
-            reply = self.session.post(
-                f"{self.endpoint}/chat/completions",
-                json=payload,
-                headers={"Authorization": f"Bearer {self.api_key}"},
-                timeout=REQUEST_TIMEOUT_S,
-            )
-        except requests.Timeout as exc:
-            raise CompletionTimeoutError(f"request timed out after {REQUEST_TIMEOUT_S}s") from exc
-        except requests.RequestException as exc:
+            try:
+                reply = urllib.request.urlopen(post, timeout=REQUEST_TIMEOUT_S)
+            except urllib.error.HTTPError as exc:
+                reply = exc  # a non-2xx status still carries a body to read
+            with reply:
+                status, body = reply.status, reply.read()
+        except (OSError, http.client.HTTPException) as exc:
+            # A timeout is bare while the reply is read, wrapped in URLError while sending.
+            if isinstance(exc, TimeoutError) or isinstance(getattr(exc, "reason", None), TimeoutError):
+                raise CompletionTimeoutError(f"request timed out after {REQUEST_TIMEOUT_S}s") from exc
             raise ServerError(f"request failed: {exc}") from exc
         latency_ms = (time.perf_counter() - started) * 1000
-        if reply.status_code in (401, 403):
-            raise AuthError(f"backend rejected credentials (HTTP {reply.status_code})")
-        if reply.status_code == 429:
+        if status in (401, 403):
+            raise AuthError(f"backend rejected credentials (HTTP {status})")
+        if status == 429:
             raise RateLimitedError("backend rate limit hit (HTTP 429)")
-        if reply.status_code >= 500:
-            raise ServerError(f"backend failure (HTTP {reply.status_code})")
-        if reply.status_code != 200:
+        if status >= 500:
+            raise ServerError(f"backend failure (HTTP {status})")
+        if status != 200:
             raise MalformedBackendReply(
-                f"unexpected HTTP {reply.status_code}: {reply.text[:200]}"
+                f"unexpected HTTP {status}: {body.decode('utf-8', 'replace')[:200]}"
             )
         try:
-            data = reply.json()
+            data = json.loads(body)
             text = data["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
             raise MalformedBackendReply(f"cannot read completion from reply: {exc}") from exc

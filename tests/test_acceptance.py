@@ -32,7 +32,6 @@ from pref2constraint.dataset import load_pilot_corpus, pilot_corpus_path
 from pref2constraint.grounding import ConflictError, GroundedAssignment, Horizon, ground
 from pref2constraint.llm import MockBackend, RunManifest, run_experiment
 from pref2constraint.metrics import (
-    REFERENCE_BASELINE_ROWS,
     acc_conditions,
     acc_variables,
     chrf,
@@ -44,6 +43,7 @@ from pref2constraint.prompting import PromptSpec, ShotSetting, build_prompt, get
 from pref2constraint.scheduler import Appliance, InfeasibleError, ScheduleProblem, solve
 
 from oracles import chrf_oracle, ground_oracle, schedule_oracle
+from reference_rows import REFERENCE_BASELINE_ROWS
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 MOCK_FIXTURES = (

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 
 import pytest
 
@@ -270,6 +271,16 @@ class TestRunAndEval:
         assert code == 1
         assert "endpoint" in err
 
+    @pytest.mark.parametrize("endpoint", ["file:///v1", "127.0.0.1:8000/v1"])
+    def test_remote_backend_refuses_a_non_http_endpoint(self, capsys, tmp_path, endpoint):
+        code, out, err = run_cli(
+            capsys, "run", "--out", str(tmp_path / "r.jsonl"), "--backend", "openai",
+            "--endpoint", endpoint,
+        )
+        assert code == 1 and out == ""
+        assert err == f"ConfigError: endpoint must be an http:// or https:// URL, got {endpoint!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestScheduleCommands:
     @pytest.fixture()
@@ -385,12 +396,38 @@ class TestScheduleCommands:
                 "appliance duration exceeds the horizon",
             ),
             (
-                {"forced": {"slot_minutes": 30, "state": [], "temperature": []}},
+                {"forced": {"slot_minutes": 30, "state": [None] * 48, "temperature": [None] * 48}},
                 "forced assignment horizon differs from problem horizon",
+            ),
+            (
+                {"forced": {"slot_minutes": 60, "state": [None] * 5, "temperature": [None] * 24}},
+                "assignment arrays must have 24 entries for 60-minute slots",
+            ),
+            (
+                {"forced": {"slot_minutes": 60, "state": [], "temperature": []}},
+                "assignment arrays must have 24 entries for 60-minute slots",
+            ),
+            (
+                {"forced": {"slot_minutes": 60, "state": [None] * 24, "temperature": []}},
+                "assignment arrays must have 24 entries for 60-minute slots",
+            ),
+            (
+                {"forced": {"slot_minutes": 60, "state": [None] * 24,
+                            "temperature": [None] * 5 + [math.nan] + [None] * 18}},
+                "'temperature' entries must be finite numbers or null, got NaN",
+            ),
+            (
+                {"forced": {"slot_minutes": 60, "state": [None] * 24,
+                            "temperature": [None] * 5 + [math.inf] + [None] * 18}},
+                "'temperature' entries must be finite numbers or null, got Infinity",
             ),
             (None, "Expecting value: line 1 column 1 (char 0)"),
         ],
-        ids=["slot-45", "power-zero", "pv-length", "long-duration", "forced-horizon", "not-json"],
+        ids=[
+            "slot-45", "power-zero", "pv-length", "long-duration", "forced-horizon",
+            "forced-length-5", "forced-empty", "forced-empty-temperature",
+            "temperature-nan", "temperature-infinity", "not-json",
+        ],
     )
     def test_problem_error_names_the_file(self, capsys, problem_file, command, change, named):
         if change is None:

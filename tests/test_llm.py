@@ -1,18 +1,24 @@
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
+import threading
+import urllib.error
+import urllib.request
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from pref2constraint import prompting
+from pref2constraint import llm, prompting
 from pref2constraint.dataset import mock_fixtures_path, pilot_corpus_path
 from pref2constraint.llm import (
     AuthError,
     CompletionRequest,
+    CompletionTimeoutError,
     CorruptManifestError,
     DecodingConfig,
     MalformedBackendReply,
@@ -133,41 +139,75 @@ class TestCompleteRetries:
             complete(backend, request(), sleep=lambda _: None)
 
 
-class FakeReply:
-    def __init__(self, status_code=200, payload=None, text="body"):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
+def completion_body(content):
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
 
 
-class FakeSession:
-    def __init__(self, reply):
-        self.reply = reply
-        self.last = None
+class LoopbackServer(ThreadingHTTPServer):
+    """A chat-completions stand-in: answers each POST with ``reply`` and keeps what it got.
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.last = {"url": url, "json": json, "headers": headers, "timeout": timeout}
-        return self.reply
+    ``stall`` holds the answer until ``release`` is set: before the status line
+    ("headers") or after its first body byte ("body").
+    """
+
+    daemon_threads = False  # server_close joins the handler threads
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), LoopbackHandler)
+        self.reply = None  # (status, body), set before each request
+        self.stall = None
+        self.release = threading.Event()
+        self.received = []
+
+
+class LoopbackHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        server = self.server
+        sent = self.rfile.read(int(self.headers["Content-Length"]))
+        server.received.append({"path": self.path, "headers": self.headers, "json": json.loads(sent)})
+        status, body = server.reply
+        if server.stall == "headers":
+            server.release.wait(10)
+            return
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        if server.stall == "body":
+            self.wfile.write(body[:1])
+            server.release.wait(10)
+            return
+        self.wfile.write(body)
+
+    def log_message(self, format, *args):
+        pass
+
+
+@pytest.fixture()
+def loopback(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")  # a proxy set in the environment must not see these
+    server = LoopbackServer()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.release.set()
+    server.shutdown()
+    server.server_close()
+    thread.join(10)
+    assert not thread.is_alive()
 
 
 class TestOpenAICompatBackend:
-    def backend(self, reply):
-        return OpenAICompatBackend(
-            "https://llm.example/v1/", "sk-test", session=FakeSession(reply)
-        )
+    def send(self, server, status=200, body=b"", prompt="ciao"):
+        server.reply = (status, body)
+        backend = OpenAICompatBackend(f"http://127.0.0.1:{server.server_port}/v1/", "sk-test")
+        return backend.send(request(prompt, model="modello-it"))
 
-    def test_wire_format(self):
-        reply = FakeReply(payload={"choices": [{"message": {"content": "s_t = 1 ∀ t"}}]})
-        backend = self.backend(reply)
-        response = backend.send(request("prompt", model="modello-it"))
+    def test_wire_format(self, loopback):
+        response = self.send(loopback, body=completion_body("s_t = 1 ∀ t"), prompt="prompt")
         assert response.text == "s_t = 1 ∀ t"
-        sent = backend.session.last
-        assert sent["url"] == "https://llm.example/v1/chat/completions"
+        assert response.backend == "openai-compat"
+        (sent,) = loopback.received
+        assert sent["path"] == "/v1/chat/completions"
         assert sent["json"]["model"] == "modello-it"
         assert sent["json"]["messages"] == [{"role": "user", "content": "prompt"}]
         assert sent["json"]["temperature"] == 0.1
@@ -175,23 +215,87 @@ class TestOpenAICompatBackend:
         assert sent["json"]["top_k"] == 20
         assert sent["json"]["max_tokens"] == 30
         assert sent["headers"]["Authorization"] == "Bearer sk-test"
+        assert sent["headers"]["Content-Type"] == "application/json"
 
-    def test_bad_credentials(self):
-        with pytest.raises(AuthError):
-            self.backend(FakeReply(status_code=401)).send(request())
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_bad_credentials(self, loopback, status):
+        with pytest.raises(AuthError, match=rf"^backend rejected credentials \(HTTP {status}\)$") as excinfo:
+            self.send(loopback, status, b"denied")
+        assert not excinfo.value.transient
 
-    def test_rate_limited_is_transient(self):
-        with pytest.raises(RateLimitedError) as excinfo:
-            self.backend(FakeReply(status_code=429)).send(request())
+    def test_rate_limited_is_transient(self, loopback):
+        with pytest.raises(RateLimitedError, match=r"^backend rate limit hit \(HTTP 429\)$") as excinfo:
+            self.send(loopback, 429, b"slow down")
         assert excinfo.value.transient
 
-    def test_malformed_reply(self):
-        with pytest.raises(MalformedBackendReply):
-            self.backend(FakeReply(payload={"choices": []})).send(request())
+    def test_server_failure_is_transient(self, loopback):
+        with pytest.raises(ServerError, match=r"^backend failure \(HTTP 503\)$") as excinfo:
+            self.send(loopback, 503, b"busy")
+        assert excinfo.value.transient
 
-    def test_non_json_reply(self):
-        with pytest.raises(MalformedBackendReply):
-            self.backend(FakeReply(payload=None)).send(request())
+    @pytest.mark.parametrize("status", [404, 201])
+    def test_any_other_status_is_malformed(self, loopback, status):
+        with pytest.raises(MalformedBackendReply, match=f"^unexpected HTTP {status}: ") as excinfo:
+            self.send(loopback, status, completion_body("s_t = 1 ∀ t"))
+        assert "s_t = 1" in str(excinfo.value)
+        assert not excinfo.value.transient
+
+    def test_malformed_reply(self, loopback):
+        with pytest.raises(MalformedBackendReply, match="^cannot read completion from reply"):
+            self.send(loopback, body=json.dumps({"choices": []}).encode("utf-8"))
+
+    def test_non_json_reply(self, loopback):
+        with pytest.raises(MalformedBackendReply, match="^cannot read completion from reply"):
+            self.send(loopback, body=b"<html>not json</html>")
+
+    def test_non_string_content(self, loopback):
+        with pytest.raises(MalformedBackendReply, match="^completion content is not a string$"):
+            self.send(loopback, body=completion_body(["s_t = 1 ∀ t"]))
+
+    @pytest.mark.parametrize("stall", ["headers", "body"])
+    def test_timeout_is_transient(self, loopback, monkeypatch, stall):
+        monkeypatch.setattr(llm, "REQUEST_TIMEOUT_S", 0.2)
+        loopback.stall = stall
+        with pytest.raises(CompletionTimeoutError, match=r"^request timed out after 0.2s$") as excinfo:
+            self.send(loopback, body=completion_body("late"))
+        assert excinfo.value.transient
+
+    def test_reply_cut_short_is_transient(self, loopback):
+        loopback.stall = "body"
+        loopback.release.set()  # the server sends one body byte and hangs up
+        with pytest.raises(ServerError, match="^request failed: IncompleteRead") as excinfo:
+            self.send(loopback, body=completion_body("cut"))
+        assert excinfo.value.transient
+
+    def test_timeout_while_sending_is_transient(self, monkeypatch):
+        def timed_out(*args, **kwargs):
+            raise urllib.error.URLError(TimeoutError("timed out"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", timed_out)
+        backend = OpenAICompatBackend("http://127.0.0.1:9/v1", "sk-test")
+        with pytest.raises(CompletionTimeoutError):
+            backend.send(request())
+
+    def test_connection_refused_is_transient(self, monkeypatch):
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        backend = OpenAICompatBackend(f"http://127.0.0.1:{port}/v1", "sk-test")
+        with pytest.raises(ServerError, match="^request failed: ") as excinfo:
+            backend.send(request())
+        assert excinfo.value.transient
+
+
+def test_cli_import_loads_no_http_library():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, pref2constraint.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 VALID_ROW = {"record_id": "u01", "shot": "0s", "prompt_digest": "x", "response_text": "y"}

@@ -13,7 +13,6 @@ from pref2constraint.metrics import (
     MissingGoldError,
     MissingRecordError,
     CorruptOutputsError,
-    REFERENCE_BASELINE_ROWS,
     TABLE_COLUMNS,
     _combine,
     acc_conditions,
@@ -26,6 +25,7 @@ from pref2constraint.metrics import (
 )
 
 from oracles import chrf_oracle
+from reference_rows import REFERENCE_BASELINE_ROWS
 
 
 def record(record_id, *constraint_texts):
