@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -25,6 +26,7 @@ from .errors import Pref2ConstraintError
 from .grounding import Horizon, ground
 from .llm import (
     DEFAULT_CONCURRENCY,
+    ConfigError,
     DecodingConfig,
     MockBackend,
     OpenAICompatBackend,
@@ -50,13 +52,16 @@ def _read_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            values[key.strip().lower()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for raw in handle:
+                line = raw.strip()
+                if not line or line.startswith("#") or "=" not in line:
+                    continue
+                key, _, value = line.partition("=")
+                values[key.strip().lower()] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     return values
 
 
@@ -135,12 +140,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     dataset_path = _dataset_path(args)
     records = load_dataset(dataset_path)
     model = _setting(args.model, "model", config) or "mock-model"
-    decoding = DecodingConfig(
-        temperature=args.temperature,
-        top_k=args.top_k,
-        top_p=args.top_p,
-        max_new_tokens=args.max_new_tokens,
-    )
+    decoding = DecodingConfig(**{f.name: getattr(args, f.name) for f in fields(DecodingConfig)})
     if args.backend == "mock":
         fixtures = Path(args.fixtures) if args.fixtures else mock_fixtures_path()
         backend = MockBackend.from_file(fixtures)
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    decoding = DecodingConfig()  # run's decoding flags default to the library's
 
     def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
@@ -299,10 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--template", default=DEFAULT_TEMPLATE_ID)
     p.add_argument("--concurrency", type=int, default=DEFAULT_CONCURRENCY)
-    p.add_argument("--temperature", type=float, default=decoding.temperature)
-    p.add_argument("--top-k", type=int, default=decoding.top_k)
-    p.add_argument("--top-p", type=float, default=decoding.top_p)
-    p.add_argument("--max-new-tokens", type=int, default=decoding.max_new_tokens)
+    for f in fields(DecodingConfig):  # one flag per decoding setting, at the library's default
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
 
     p = add("eval", cmd_eval, "score an outputs file against gold")
     p.add_argument("--outputs", required=True)
@@ -338,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (Pref2ConstraintError, OSError, json.JSONDecodeError) as exc:
+    except (Pref2ConstraintError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -87,7 +87,7 @@ def _validate_spans(text: str, raw_spans: list, line_number: int) -> tuple[Span,
         if missing:
             raise SchemaError(f"span missing field(s) {sorted(missing)}", line_number)
         start, end, kind = raw["start"], raw["end"], raw["kind"]
-        if not (isinstance(start, int) and isinstance(end, int)):
+        if not (type(start) is int and type(end) is int):  # JSON integers, not booleans
             raise SchemaError("span offsets must be integers", line_number)
         if kind not in SPAN_KINDS:
             raise SchemaError(f"span kind must be one of {SPAN_KINDS}, got {kind!r}", line_number)
@@ -139,14 +139,15 @@ def load_dataset(path: str | Path) -> list[GoldRecord]:
     """Load and validate a JSONL corpus, preserving record order."""
     records = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
             try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc}", line_number) from exc
+                text = line.decode("utf-8")
+                if not text.strip():
+                    continue
+                raw = json.loads(text)
+            except ValueError as exc:  # UnicodeDecodeError is one too
+                raise SchemaError(f"not UTF-8 JSON: {exc}", line_number) from exc
             record = _record_from_dict(raw, line_number)
             if record.id in seen_ids:
                 raise SchemaError(f"duplicate record id {record.id!r}", line_number)

@@ -139,8 +139,21 @@ class MockBackend:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockBackend":
-        with open(path, encoding="utf-8") as handle:
-            return cls(json.load(handle))
+        """Fixtures from a JSON object mapping each prompt digest to a response string."""
+        try:
+            responses = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise ConfigError(f"{path}: not UTF-8 JSON: {exc}") from exc
+        if not isinstance(responses, dict):
+            raise ConfigError(
+                f"{path}: expected a JSON object of prompt digests and responses, "
+                f"got {type(responses).__name__}"
+            )
+        for digest, text in responses.items():
+            if not isinstance(text, str):
+                message = f"the response for prompt digest {digest!r} is not a string"
+                raise ConfigError(f"{path}: {message}")
+        return cls(responses)
 
     def send(self, request: CompletionRequest) -> ModelResponse:
         digest = prompt_digest(request.prompt)
@@ -280,23 +293,19 @@ class RunManifest:
         )
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["shot_labels"] = list(self.shot_labels)
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
-        return cls(
-            dataset_path=data["dataset_path"],
-            dataset_sha256=data["dataset_sha256"],
-            template_id=data["template_id"],
-            shot_labels=tuple(data["shot_labels"]),
-            few_shot_k=int(data["few_shot_k"]),
-            model_id=data["model_id"],
-            decoding=DecodingConfig(**data["decoding"]),
-            seed=int(data["seed"]),
-            timestamp=data["timestamp"],
-        )
+        # Every field is read before any is converted, so a KeyError names the first missing one.
+        values = {f.name: data[f.name] for f in fields(cls)}
+        return cls(**{
+            **values,
+            "shot_labels": tuple(values["shot_labels"]),
+            "few_shot_k": int(values["few_shot_k"]),
+            "decoding": DecodingConfig(**values["decoding"]),
+            "seed": int(values["seed"]),
+        })
 
 
 def manifest_path_for(outputs_path: str | Path) -> Path:

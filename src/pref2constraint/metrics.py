@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -135,6 +135,11 @@ def acc_conditions(gold: list[GoldRecord], parsed: dict[str, list[Constraint]]) 
     return _accuracy(gold, parsed, 1)
 
 
+def _rounded(data: dict) -> dict:
+    """``data`` with its float values rounded to 4 places, as reports carry them."""
+    return {key: round(v, 4) if isinstance(v, float) else v for key, v in data.items()}
+
+
 @dataclass(frozen=True)
 class UtteranceScore:
     record_id: str
@@ -146,15 +151,7 @@ class UtteranceScore:
     matched_conditions: int
 
     def to_dict(self) -> dict:
-        return {
-            "record_id": self.record_id,
-            "chrf": round(self.chrf, 4),
-            "n_gold": self.n_gold,
-            "n_parsed": self.n_parsed,
-            "n_issues": self.n_issues,
-            "matched_variables": self.matched_variables,
-            "matched_conditions": self.matched_conditions,
-        }
+        return _rounded(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -177,16 +174,10 @@ class EvalReport:
                 raise MetricsError(f"{name} {value} outside 0..1")
 
     def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "prompt": self.shot,
-            "n_utterances": self.n_utterances,
-            "chrf": round(self.chrf, 4),
-            "acc_variables": round(self.acc_variables, 4),
-            "acc_conditions": round(self.acc_conditions, 4),
-            "acc_avg": round(self.acc_avg, 4),
-            "per_utterance": [u.to_dict() for u in self.per_utterance],
-        }
+        data = _rounded(asdict(self))
+        data["prompt"] = data.pop("shot")
+        data["per_utterance"] = [u.to_dict() for u in self.per_utterance]
+        return data
 
 
 def gold_reference_string(record: GoldRecord) -> str:
@@ -269,25 +260,15 @@ TABLE_COLUMNS = ("prompt", "ChrF", "Acc_Variables", "Acc_Conditions", "Acc_Avg")
 
 
 def render_table(reports: list[EvalReport]) -> str:
-    """Aligned plain-text report: one row per prompt setting."""
-    rows = [
-        (
-            report.shot,
-            f"{report.chrf:.4f}",
-            f"{report.acc_variables:.4f}",
-            f"{report.acc_conditions:.4f}",
-            f"{report.acc_avg:.4f}",
-        )
-        for report in reports
-    ]
-    widths = [
-        max(len(TABLE_COLUMNS[i]), *(len(row[i]) for row in rows)) if rows else len(TABLE_COLUMNS[i])
-        for i in range(len(TABLE_COLUMNS))
-    ]
-    lines = ["  ".join(name.ljust(widths[i]) for i, name in enumerate(TABLE_COLUMNS)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines)
+    """Aligned plain-text report: a header row, then one row per prompt setting."""
+    rows = [TABLE_COLUMNS]
+    for report in reports:
+        scores = (report.chrf, report.acc_variables, report.acc_conditions, report.acc_avg)
+        rows.append((report.shot, *(f"{score:.4f}" for score in scores)))
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows
+    )
 
 
 def reports_to_json(reports: list[EvalReport]) -> str:

@@ -135,11 +135,12 @@ def build_prompt(spec: PromptSpec, dataset: list[GoldRecord]) -> str:
             raise UnknownExampleError(f"example id {example_id!r} not in dataset")
         examples.append(by_id[example_id])
     if examples:
-        blocks = "\n\n".join(_example_block(template, r) for r in examples)
-        text = template.text.replace(EXAMPLES, blocks)
+        old, new = EXAMPLES, "\n\n".join(_example_block(template, r) for r in examples)
     else:  # drop the examples header, the placeholder and the blank line after them
-        text = template.text.replace(f"{template.examples_header}\n{EXAMPLES}\n\n", "")
-    return text.replace(TARGET, tag_utterance(spec.target))
+        old, new = f"{template.examples_header}\n{EXAMPLES}\n\n", ""
+    # Fill each piece between target placeholders, so no utterance is read as a placeholder.
+    pieces = (piece.replace(old, new) for piece in template.text.split(TARGET))
+    return tag_utterance(spec.target).join(pieces)
 
 
 class ExamplePool:

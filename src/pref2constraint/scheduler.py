@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -118,11 +118,7 @@ class Schedule:
     feasible: bool
 
     def to_dict(self) -> dict:
-        return {
-            "on_slots": sorted(self.on_slots),
-            "self_consumption_kwh": self.self_consumption_kwh,
-            "feasible": self.feasible,
-        }
+        return {**asdict(self), "on_slots": sorted(self.on_slots)}
 
     def timeline(self, horizon: Horizon) -> str:
         """Compact per-slot text strip: '#' for on, '.' for off."""
@@ -189,11 +185,7 @@ class FunctionalCheck:
     schedule: Schedule | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "reason": self.reason,
-            "schedule": self.schedule.to_dict() if self.schedule else None,
-        }
+        return {**asdict(self), "schedule": self.schedule.to_dict() if self.schedule else None}
 
 
 def check_functional(

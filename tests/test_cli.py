@@ -55,6 +55,14 @@ class TestValidateData:
         assert code == 1 and out == ""
         assert err == "SchemaError: line 1: a record must be a JSON object\n"
 
+    def test_line_that_is_not_utf8_is_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(pilot_corpus_path().read_bytes() + '{"id": "caffè"}\n'.encode("latin-1"))
+        code, out, err = run_cli(capsys, "validate-data", "--data", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("SchemaError: line 27: not UTF-8 JSON: ")
+        assert err.count("\n") == 1
+
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(capsys, "validate-data", "--json")
         payload = json.loads(out)
@@ -240,6 +248,32 @@ class TestRunAndEval:
         assert err == (
             f"CorruptManifestError: {manifest_path_for(outputs)}: missing field 'dataset_path'\n"
         )
+
+    @pytest.mark.parametrize(
+        "fixtures,named",
+        [
+            ('{"d": 7}', "the response for prompt digest 'd' is not a string"),
+            ('["risposta"]', "expected a JSON object of prompt digests and responses, got list"),
+        ],
+        ids=["number-response", "array"],
+    )
+    def test_run_refuses_bad_fixtures_before_writing(self, capsys, tmp_path, fixtures, named):
+        path = tmp_path / "fixtures.json"
+        path.write_text(fixtures, "utf-8")
+        outputs = tmp_path / "run.jsonl"
+        code, out, err = run_cli(capsys, "run", "--out", str(outputs), "--fixtures", str(path))
+        assert (code, out, err) == (1, "", f"ConfigError: {path}: {named}\n")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_run_refuses_a_config_file_that_is_not_utf8(self, capsys, tmp_path):
+        config = tmp_path / "settings.cfg"
+        config.write_bytes("model = caffè\n".encode("latin-1"))
+        outputs = tmp_path / "run.jsonl"
+        code, out, err = run_cli(capsys, "run", "--out", str(outputs), "--config", str(config))
+        assert code == 1 and out == ""
+        assert err.startswith(f"ConfigError: {config}: not UTF-8 text: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_resume_with_the_corpus_under_another_path(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "pilot_it.jsonl").write_bytes(pilot_corpus_path().read_bytes())
@@ -467,6 +501,41 @@ class TestScheduleCommands:
         assert code == 0
         assert payload["passed"] is False
         assert payload["reason"]
+
+    @pytest.mark.parametrize(
+        "argv,stdout",
+        [
+            (
+                ["schedule"],
+                '{"on_slots": [9, 10, 11], "self_consumption_kwh": 7.400000000000001, '
+                '"feasible": true}\n',
+            ),
+            (
+                ["check-functional", "--gold", "s_t = 1 ∀ 12:00 ≤ t ≤ 14:00",
+                 "--generated", "s_t = 1 ∀ 12:00 ≤ t ≤ 14:00"],
+                '{"passed": true, "reason": null, "schedule": {"on_slots": [11, 12, 13], '
+                '"self_consumption_kwh": 7.4, "feasible": true}}\n',
+            ),
+            (
+                ["check-functional", "--gold", "s_t = 1 ∀ 02:00 ≤ t ≤ 04:00"],
+                '{"passed": false, "reason": "slot 2 must be on per gold constraints", '
+                '"schedule": {"on_slots": [9, 10, 11], "self_consumption_kwh": 7.400000000000001, '
+                '"feasible": true}}\n',
+            ),
+        ],
+        ids=["schedule", "check-pass", "check-fail"],
+    )
+    def test_json_stdout_bytes_on_the_readme_problem(self, capsys, tmp_path, argv, stdout):
+        problem = {  # the example problem file in README.md
+            "slot_minutes": 60,
+            "pv": [0, 0, 0, 0, 0, 0, 0, 0, 1.5, 3, 3, 3, 3, 3, 1.5] + [0] * 9,
+            "base_load": [0.2] * 24,
+            "appliance": {"power_kw": 2.0, "duration_slots": 3, "contiguous": True},
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem), "utf-8")
+        code, out, err = run_cli(capsys, *argv, "--json", "--problem", str(path))
+        assert (code, out, err) == (0, stdout, "")
 
 
 class TestUsage:

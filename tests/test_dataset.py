@@ -101,10 +101,14 @@ class TestLoad:
             (json.dumps(dict(SAMPLE_RECORD, spans=[None])), "each span must be a JSON object"),
             (json.dumps(dict(SAMPLE_RECORD, constraints=[5])), "each constraint must be a string"),
             (json.dumps(dict(SAMPLE_RECORD, constraints=[None])), "each constraint must be a string"),
+            (
+                json.dumps(dict(SAMPLE_RECORD, spans=[{"start": True, "end": 5, "kind": "time"}])),
+                "span offsets must be integers",
+            ),
         ],
         ids=[
             "number", "null", "array",
-            "span-number", "span-null", "constraint-number", "constraint-null",
+            "span-number", "span-null", "constraint-number", "constraint-null", "offset-true",
         ],
     )
     def test_ill_typed_line_reports_line(self, tmp_path, line, message):
@@ -118,6 +122,15 @@ class TestLoad:
         path = tmp_path / "broken.jsonl"
         path.write_text(json.dumps(SAMPLE_RECORD, ensure_ascii=False) + "\n{oops\n", "utf-8")
         with pytest.raises(SchemaError) as excinfo:
+            load_dataset(path)
+        assert excinfo.value.line_number == 2
+
+    def test_line_that_is_not_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "latin1.jsonl"
+        first = json.dumps(SAMPLE_RECORD, ensure_ascii=False)
+        second = '{"id": "u02", "text": "un caffè", "spans": [], "constraints": []}'
+        path.write_bytes(f"{first}\n".encode("utf-8") + f"{second}\n".encode("latin-1"))
+        with pytest.raises(SchemaError, match="^line 2: not UTF-8 JSON: ") as excinfo:
             load_dataset(path)
         assert excinfo.value.line_number == 2
 

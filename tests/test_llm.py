@@ -19,6 +19,7 @@ from pref2constraint.llm import (
     AuthError,
     CompletionRequest,
     CompletionTimeoutError,
+    ConfigError,
     CorruptManifestError,
     DecodingConfig,
     MalformedBackendReply,
@@ -87,6 +88,24 @@ class TestMockBackend:
         path = tmp_path / "fixtures.json"
         path.write_text(json.dumps(MOCK_FIXTURES), "utf-8")
         assert MockBackend.from_file(path).send(request()).text == "risposta fissa"
+
+    @pytest.mark.parametrize(
+        "content,named",
+        [
+            (b"{", "not UTF-8 JSON: "),
+            ('{"d": "caffè"}'.encode("latin-1"), "not UTF-8 JSON: "),
+            (b'["risposta"]', "expected a JSON object of prompt digests and responses, got list"),
+            (b'{"d": "ok", "e": 7}', "the response for prompt digest 'e' is not a string"),
+            (b'{"d": null}', "the response for prompt digest 'd' is not a string"),
+        ],
+        ids=["bad-json", "latin-1", "array", "number-response", "null-response"],
+    )
+    def test_from_file_refuses_a_malformed_file(self, tmp_path, content, named):
+        path = tmp_path / "fixtures.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError) as excinfo:
+            MockBackend.from_file(path)
+        assert str(excinfo.value).startswith(f"{path}: {named}")
 
 
 class FlakyBackend:
@@ -450,6 +469,36 @@ class TestRunExperiment:
         summary = run_experiment(absolute, pilot_records, shipped_mock_backend(), outputs)
         assert summary.skipped == 26 and summary.completed == 0
         assert manifest_path_for(outputs).read_bytes() == first
+
+    def test_manifest_file_bytes(self, pilot_records, tmp_path, monkeypatch):
+        (tmp_path / "pilot.jsonl").write_bytes(pilot_corpus_path().read_bytes())
+        monkeypatch.chdir(tmp_path)
+        manifest = replace(
+            RunManifest.create("pilot.jsonl", "it", ("0s", "fs"), "mock-model", seed=3),
+            timestamp="2025-01-02T03:04:05+00:00",
+        )
+        run_experiment(manifest, pilot_records, shipped_mock_backend(), tmp_path / "run.jsonl")
+        assert (tmp_path / "run.manifest.json").read_text("utf-8") == (
+            "{\n"
+            '  "dataset_path": "pilot.jsonl",\n'
+            f'  "dataset_sha256": "{manifest.dataset_sha256}",\n'
+            '  "template_id": "it",\n'
+            '  "shot_labels": [\n'
+            '    "0s",\n'
+            '    "fs"\n'
+            "  ],\n"
+            '  "few_shot_k": 5,\n'
+            '  "model_id": "mock-model",\n'
+            '  "decoding": {\n'
+            '    "temperature": 0.1,\n'
+            '    "top_k": 20,\n'
+            '    "top_p": 0.9,\n'
+            '    "max_new_tokens": 30\n'
+            "  },\n"
+            '  "seed": 3,\n'
+            '  "timestamp": "2025-01-02T03:04:05+00:00"\n'
+            "}\n"
+        )
 
     @pytest.mark.parametrize(
         "manifest_text,named",

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pref2constraint.constraints import extract_constraints, parse_constraint
-from pref2constraint.dataset import GoldRecord, mock_fixtures_path
+from pref2constraint.dataset import GoldRecord, mock_fixtures_path, pilot_corpus_path
+from pref2constraint.llm import MockBackend, RunManifest, run_experiment
 from pref2constraint.metrics import (
     EmptyInputError,
     EvalReport,
@@ -23,6 +24,7 @@ from pref2constraint.metrics import (
     render_table,
     reports_to_json,
 )
+from pref2constraint.prompting import SHOT_LABELS
 
 from oracles import chrf_oracle
 from reference_rows import REFERENCE_BASELINE_ROWS
@@ -386,6 +388,21 @@ class TestReportRendering:
         header = table.splitlines()[0]
         assert tuple(header.split()) == TABLE_COLUMNS
         assert "0s" in table.splitlines()[1]
+
+    def test_pilot_table_bytes(self, tmp_path, pilot_records):
+        outputs = tmp_path / "run.jsonl"
+        manifest = RunManifest.create(pilot_corpus_path(), "it", SHOT_LABELS, "mock-model")
+        backend = MockBackend.from_file(mock_fixtures_path())
+        run_experiment(manifest, pilot_records, backend, outputs)
+        assert render_table(evaluate_run(outputs, pilot_records)) == (
+            "prompt  ChrF     Acc_Variables  Acc_Conditions  Acc_Avg\n"
+            "0s      36.7022  0.4231         0.3846          0.4038\n"
+            "1s      54.2644  0.7692         0.7692          0.7692\n"
+            "fs      74.3936  0.8462         0.8462          0.8462"
+        )
+
+    def test_table_without_reports_is_the_header(self):
+        assert render_table([]) == "prompt  ChrF  Acc_Variables  Acc_Conditions  Acc_Avg"
 
     def test_json_is_single_document(self):
         payload = json.loads(reports_to_json([self.make_report()]))

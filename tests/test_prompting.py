@@ -3,7 +3,8 @@ from dataclasses import replace
 import pytest
 
 from oracles import selection_oracle
-from pref2constraint.dataset import resource_path
+from pref2constraint.constraints import parse_constraint
+from pref2constraint.dataset import GoldRecord, resource_path
 from pref2constraint.prompting import (
     MAX_FEW_SHOT,
     ExamplePool,
@@ -111,6 +112,18 @@ class TestBuildPrompt:
         assert prompt.count(template.example_label) == 2
         positions = [prompt.index(m) for m in template.section_markers]
         assert positions == sorted(positions)
+
+    def test_placeholders_inside_utterances_are_kept(self):
+        def prompt_for(example_text, target_text):
+            target = GoldRecord("t", target_text, (), (), ())
+            constraint = parse_constraint("s_t = 1 ∀ t")
+            example = GoldRecord("e", example_text, (), (constraint,), ("s_t = 1 ∀ t",))
+            return build_prompt(PromptSpec("it", ShotSetting(1), ("e",), target), [target, example])
+
+        plain = prompt_for("scrivi XX qui", "accendi alle 7 YY")
+        assert prompt_for("scrivi {{target}} qui", "accendi alle 7 {{examples}}") == (
+            plain.replace("XX", "{{target}}").replace("YY", "{{examples}}")
+        )
 
     def test_every_template_declares_markers(self):
         for template_id in TEMPLATE_IDS:
