@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Protocol
 
 from .dataset import GoldRecord
 from .errors import Pref2ConstraintError
+from .grounding import int_field
 from .prompting import MAX_FEW_SHOT, ExamplePool, PromptSpec, ShotSetting, build_prompt, get_template
 # Not called here: perfbench/tracing.py wraps llm.select_examples by name.
 from .prompting import select_examples  # noqa: F401
@@ -299,12 +300,17 @@ class RunManifest:
     def from_dict(cls, data: dict) -> "RunManifest":
         # Every field is read before any is converted, so a KeyError names the first missing one.
         values = {f.name: data[f.name] for f in fields(cls)}
+        decoding = values["decoding"]
         return cls(**{
             **values,
             "shot_labels": tuple(values["shot_labels"]),
-            "few_shot_k": int(values["few_shot_k"]),
-            "decoding": DecodingConfig(**values["decoding"]),
-            "seed": int(values["seed"]),
+            "few_shot_k": int_field(values, "few_shot_k"),
+            "decoding": DecodingConfig(**{
+                **decoding,
+                "top_k": int_field(decoding, "top_k"),
+                "max_new_tokens": int_field(decoding, "max_new_tokens"),
+            }),
+            "seed": int_field(values, "seed"),
         })
 
 

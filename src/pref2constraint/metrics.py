@@ -54,17 +54,29 @@ class MissingGoldError(MetricsError):
 CHRF_ORDERS = range(1, 7)  # character n-gram orders 1..6
 
 
-def chrf_counts(reference: str, hypothesis: str) -> tuple[list[int], list[int], list[int]]:
+def ngram_counts(text: str) -> Counter[str]:
+    """Every character n-gram of ``text`` of orders 1 to 6, in one Counter.
+
+    An n-gram's length is its order, so n-grams of different orders never collide.
+    """
+    return Counter([text[i : i + n] for n in CHRF_ORDERS for i in range(len(text) - n + 1)])
+
+
+def chrf_counts(
+    reference: str, hypothesis: str, reference_grams: Counter[str] | None = None
+) -> tuple[list[int], list[int], list[int]]:
     """Per-order (matched, hypothesis total, reference total) n-gram counts.
 
     A string of length L has max(0, L - n + 1) n-grams of order n; only the
-    clipped overlap needs counting.
+    clipped overlap needs counting.  ``reference_grams`` is
+    ``ngram_counts(reference)`` when the caller has already counted it.
     """
-    matched = []
-    for n in CHRF_ORDERS:
-        ref_counts = Counter(reference[i : i + n] for i in range(len(reference) - n + 1))
-        hyp_counts = Counter(hypothesis[i : i + n] for i in range(len(hypothesis) - n + 1))
-        matched.append(sum((ref_counts & hyp_counts).values()))
+    if reference_grams is None:
+        reference_grams = ngram_counts(reference)
+    hypothesis_grams = ngram_counts(hypothesis)
+    matched = [0] * len(CHRF_ORDERS)
+    for gram in reference_grams.keys() & hypothesis_grams.keys():
+        matched[len(gram) - 1] += min(reference_grams[gram], hypothesis_grams[gram])
     hyp_totals = [max(0, len(hypothesis) - n + 1) for n in CHRF_ORDERS]
     ref_totals = [max(0, len(reference) - n + 1) for n in CHRF_ORDERS]
     return matched, hyp_totals, ref_totals
@@ -196,61 +208,68 @@ def evaluate_run(
     chrF is computed between each record's canonical gold constraints and
     the raw response text; the accuracies run on leniently extracted
     constraints.  With ``corpus_chrf`` the n-gram counts are pooled over
-    utterances instead of averaging per-utterance scores.
+    utterances instead of averaging per-utterance scores.  Reports follow
+    each shot's first line in the file, and their rows that shot's lines.
     """
     if model_id is None:
         manifest = read_manifest(outputs_path)
         model_id = manifest.model_id if manifest else "unknown"
 
     by_id = {record.id: record for record in gold}
-    responses: dict[str, dict[str, str]] = {}  # shot -> record_id -> response, in file order
+    responses: dict[str, dict[str, str]] = {}  # record_id -> shot -> response
+    # shot -> record_id -> score, keys in file order, values filled in record by record
+    scored: dict[str, dict[str, UtteranceScore | None]] = {}
     with open(outputs_path, "rb") as handle:
         for (record_id, shot), (line_number, text) in parse_outputs(handle).items():
             if record_id not in by_id:
                 raise MissingGoldError(
                     f"line {line_number}: record id {record_id!r} not in gold dataset"
                 )
-            responses.setdefault(shot, {})[record_id] = text
+            responses.setdefault(record_id, {})[shot] = text
+            scored.setdefault(shot, {})[record_id] = None
+
+    # Record by record, so each gold reference is rendered and counted once.
+    pooled = {shot: [[0] * len(CHRF_ORDERS) for _ in range(3)] for shot in scored}
+    for record_id, shot_responses in responses.items():
+        record = by_id[record_id]
+        reference = strip_whitespace(gold_reference_string(record))
+        reference_grams = ngram_counts(reference)
+        for shot, response in shot_responses.items():
+            constraints, issues = extract_constraints(response)
+            counts = chrf_counts(reference, strip_whitespace(response), reference_grams)
+            pooled[shot] = [
+                [a + b for a, b in zip(pool, part)] for pool, part in zip(pooled[shot], counts)
+            ]
+            matched_variables, matched_conditions = _match_counts(record.constraints, constraints)
+            scored[shot][record_id] = UtteranceScore(
+                record_id=record_id,
+                chrf=_combine(*counts),
+                n_gold=len(record.constraints),
+                n_parsed=len(constraints),
+                n_issues=len(issues),
+                matched_variables=matched_variables,
+                matched_conditions=matched_conditions,
+            )
 
     reports = []
-    for shot, rows in responses.items():
-        scored: list[UtteranceScore] = []
-        pooled = [[0] * len(CHRF_ORDERS) for _ in range(3)]
-        for record_id, response in rows.items():
-            record = by_id[record_id]
-            constraints, issues = extract_constraints(response)
-            counts = chrf_counts(
-                strip_whitespace(gold_reference_string(record)), strip_whitespace(response)
-            )
-            pooled = [[a + b for a, b in zip(pool, part)] for pool, part in zip(pooled, counts)]
-            matched_variables, matched_conditions = _match_counts(record.constraints, constraints)
-            scored.append(
-                UtteranceScore(
-                    record_id=record_id,
-                    chrf=_combine(*counts),
-                    n_gold=len(record.constraints),
-                    n_parsed=len(constraints),
-                    n_issues=len(issues),
-                    matched_variables=matched_variables,
-                    matched_conditions=matched_conditions,
-                )
-            )
+    for shot, rows in scored.items():
+        scores = tuple(rows.values())
         if corpus_chrf:
-            shot_chrf = _combine(*pooled)
+            shot_chrf = _combine(*pooled[shot])
         else:  # every shot has at least one line
-            shot_chrf = sum(u.chrf for u in scored) / len(scored)
-        variables = _mean_ratio((u.matched_variables, u.n_gold) for u in scored)
-        conditions = _mean_ratio((u.matched_conditions, u.n_gold) for u in scored)
+            shot_chrf = sum(u.chrf for u in scores) / len(scores)
+        variables = _mean_ratio((u.matched_variables, u.n_gold) for u in scores)
+        conditions = _mean_ratio((u.matched_conditions, u.n_gold) for u in scores)
         reports.append(
             EvalReport(
                 model_id=model_id,
                 shot=shot,
-                n_utterances=len(scored),
+                n_utterances=len(scores),
                 chrf=shot_chrf,
                 acc_variables=variables,
                 acc_conditions=conditions,
                 acc_avg=(variables + conditions) / 2,
-                per_utterance=tuple(scored),
+                per_utterance=scores,
             )
         )
     return reports

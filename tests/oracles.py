@@ -12,25 +12,39 @@ from fractions import Fraction
 from itertools import combinations
 
 
+def chrf_counts_oracle(
+    reference: str, hypothesis: str, max_n: int = 6
+) -> tuple[list[int], list[int], list[int]]:
+    """Per-order (matched, hypothesis total, reference total) by list-removal clipping."""
+    matched: list[int] = []
+    hyp_totals: list[int] = []
+    ref_totals: list[int] = []
+    for n in range(1, max_n + 1):
+        ref_grams = [reference[i : i + n] for i in range(len(reference) - n + 1)]
+        hyp_grams = [hypothesis[i : i + n] for i in range(len(hypothesis) - n + 1)]
+        pool = list(ref_grams)
+        hits = 0
+        for gram in hyp_grams:
+            if gram in pool:
+                pool.remove(gram)
+                hits += 1
+        matched.append(hits)
+        hyp_totals.append(len(hyp_grams))
+        ref_totals.append(len(ref_grams))
+    return matched, hyp_totals, ref_totals
+
+
 def chrf_oracle(reference: str, hypothesis: str, beta: float = 1.0, max_n: int = 6) -> float:
     """Slow chrF: list-removal clipping, skip orders absent from the side's string."""
     ref = "".join(reference.split())
     hyp = "".join(hypothesis.split())
     precisions: list[float] = []
     recalls: list[float] = []
-    for n in range(1, max_n + 1):
-        ref_grams = [ref[i : i + n] for i in range(len(ref) - n + 1)]
-        hyp_grams = [hyp[i : i + n] for i in range(len(hyp) - n + 1)]
-        pool = list(ref_grams)
-        matched = 0
-        for gram in hyp_grams:
-            if gram in pool:
-                pool.remove(gram)
-                matched += 1
-        if hyp_grams:
-            precisions.append(matched / len(hyp_grams))
-        if ref_grams:
-            recalls.append(matched / len(ref_grams))
+    for matched, hyp_total, ref_total in zip(*chrf_counts_oracle(ref, hyp, max_n)):
+        if hyp_total:
+            precisions.append(matched / hyp_total)
+        if ref_total:
+            recalls.append(matched / ref_total)
     chr_p = sum(precisions) / len(precisions) if precisions else 0.0
     chr_r = sum(recalls) / len(recalls) if recalls else 0.0
     if chr_p == 0.0 and chr_r == 0.0:

@@ -524,6 +524,29 @@ class TestRunExperiment:
         with pytest.raises(CorruptManifestError, match="shot labels must not repeat"):
             read_manifest(outputs)
 
+    @pytest.mark.parametrize("value", [5.9, 5.0, "0", True, None], ids=repr)
+    @pytest.mark.parametrize(
+        "path",
+        [("few_shot_k",), ("seed",), ("decoding", "top_k"), ("decoding", "max_new_tokens")],
+        ids=".".join,
+    )
+    def test_manifest_integer_fields_must_be_json_integers(
+        self, pilot_manifest, pilot_records, tmp_path, path, value
+    ):
+        outputs = tmp_path / "run.jsonl"
+        data = pilot_manifest.to_dict()
+        owner = data if len(path) == 1 else data[path[0]]
+        owner[path[-1]] = value
+        manifest_path_for(outputs).write_text(json.dumps(data), "utf-8")
+        message = (
+            f"{manifest_path_for(outputs)}: {path[-1]!r} must be an integer, got {json.dumps(value)}"
+        )
+        with pytest.raises(CorruptManifestError, match=re.escape(message)):
+            read_manifest(outputs)
+        with pytest.raises(CorruptManifestError, match=re.escape(message)):
+            run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert not outputs.exists()
+
     def test_each_shot_takes_a_prefix_of_one_ranking(self, pilot_manifest, pilot_records, tmp_path):
         def lines_by_pair(path):
             lines = path.read_text("utf-8").splitlines(keepends=True)

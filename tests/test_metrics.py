@@ -3,7 +3,7 @@ import random
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pref2constraint.constraints import extract_constraints, parse_constraint
 from pref2constraint.dataset import GoldRecord, mock_fixtures_path, pilot_corpus_path
@@ -19,6 +19,7 @@ from pref2constraint.metrics import (
     acc_conditions,
     acc_variables,
     chrf,
+    chrf_counts,
     evaluate_run,
     gold_reference_string,
     render_table,
@@ -26,7 +27,7 @@ from pref2constraint.metrics import (
 )
 from pref2constraint.prompting import SHOT_LABELS
 
-from oracles import chrf_oracle
+from oracles import chrf_counts_oracle, chrf_oracle
 from reference_rows import REFERENCE_BASELINE_ROWS
 
 
@@ -76,6 +77,14 @@ class TestChrf:
     )
     def test_oracle_equivalence_property(self, a, b):
         assert chrf(a, b) == pytest.approx(chrf_oracle(a, b), abs=1e-9)
+
+    @given(st.text(alphabet="ab∀≤è", max_size=24), st.text(alphabet="ab∀≤è", max_size=24))
+    @example("", "")
+    @example("∀", "")
+    @example("è", "è")
+    @example("aaaa", "aa")
+    def test_counts_equal_oracle_property(self, a, b):
+        assert chrf_counts(a, b) == chrf_counts_oracle(a, b)
 
     def test_score_range(self):
         rng = random.Random(11)
@@ -206,6 +215,54 @@ class TestEvaluateRun:
         write_outputs(outputs, rows)
         reports = evaluate_run(outputs, GOLD, model_id="m")
         assert [report.shot for report in reports] == ["0s", "1s", "fs"]
+
+    INTERLEAVED = [
+        ("u3", "fs", "s_t = 1 ∀ t"),
+        ("u1", "0s", "s_t = 1 ∀ 07:00 ≤ t ≤ 08:30 h_t = 21 ∀ t"),
+        ("u2", "fs", "s_t = 0 ∀ t ≤ 06:00"),
+        ("u3", "0s", "h_t = 20 ∀ t"),
+        ("u2", "1s", " "),
+        ("u1", "fs", "s_t = 1 ∀ t ≥ 07:00"),
+        ("u2", "0s", "s_t = 0 ∀ t ≤ 07:00"),
+        ("u1", "1s", "s_t = 1 ∀ 07:00 ≤ t ≤ 08:30"),
+        ("u3", "1s", "nessun vincolo"),
+    ]
+    ORDER_GOLD = GOLD + [record("u3", "s_t = 1 ∀ t ≥ 18:00", "h_t = 20 ∀ t")]
+
+    def evaluate_lines(self, path, lines, corpus_chrf=False):
+        write_outputs(
+            path,
+            [
+                {"record_id": rid, "shot": shot, "prompt_digest": "x", "response_text": text}
+                for rid, shot, text in lines
+            ],
+        )
+        return evaluate_run(path, self.ORDER_GOLD, model_id="m", corpus_chrf=corpus_chrf)
+
+    def test_interleaved_lines_keep_each_shots_file_order(self, tmp_path):
+        reports = self.evaluate_lines(tmp_path / "run.jsonl", self.INTERLEAVED)
+        assert [report.shot for report in reports] == ["fs", "0s", "1s"]
+        for report in reports:
+            in_file = [rid for rid, shot, _ in self.INTERLEAVED if shot == report.shot]
+            assert [u.record_id for u in report.per_utterance] == in_file
+
+    def test_shot_major_lines_score_as_interleaved(self, tmp_path):
+        shots = ["fs", "0s", "1s"]
+        shot_major = sorted(self.INTERLEAVED, key=lambda line: shots.index(line[1]))
+        assert shot_major != self.INTERLEAVED
+        interleaved_path, shot_major_path = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert reports_to_json(
+            self.evaluate_lines(interleaved_path, self.INTERLEAVED, corpus_chrf=True)
+        ) == reports_to_json(self.evaluate_lines(shot_major_path, shot_major, corpus_chrf=True))
+
+        def rows(path, lines):
+            return {
+                (report.shot, u.record_id): u
+                for report in self.evaluate_lines(path, lines)
+                for u in report.per_utterance
+            }
+
+        assert rows(interleaved_path, self.INTERLEAVED) == rows(shot_major_path, shot_major)
 
     def test_empty_response_scores_zero_not_error(self, tmp_path):
         outputs = tmp_path / "run.jsonl"
