@@ -11,7 +11,8 @@ per completion ({record_id, shot, prompt_digest, response_text}), skips
 pairs already present in the outputs file, and keeps a manifest next to
 the outputs.  A failed completion is recorded and skipped; it never aborts
 the remaining items.  Resume and evaluation read the run back through
-``parse_outputs`` and ``read_manifest``: only this module knows its format.
+``parse_outputs`` (evaluation by way of ``read_outputs``) and
+``read_manifest``: only this module knows its format.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable, Iterable, Protocol
 
 from .dataset import GoldRecord
 from .errors import Pref2ConstraintError
-from .grounding import int_field
+from .grounding import int_field, json_number
 from .prompting import MAX_FEW_SHOT, ExamplePool, PromptSpec, ShotSetting, build_prompt, get_template
 # Not called here: perfbench/tracing.py wraps llm.select_examples by name.
 from .prompting import select_examples  # noqa: F401
@@ -307,7 +308,9 @@ class RunManifest:
             "few_shot_k": int_field(values, "few_shot_k"),
             "decoding": DecodingConfig(**{
                 **decoding,
+                "temperature": json_number(decoding["temperature"], "'temperature' must be a number"),
                 "top_k": int_field(decoding, "top_k"),
+                "top_p": json_number(decoding["top_p"], "'top_p' must be a number"),
                 "max_new_tokens": int_field(decoding, "max_new_tokens"),
             }),
             "seed": int_field(values, "seed"),
@@ -372,6 +375,23 @@ def parse_outputs(lines: Iterable[bytes]) -> dict[tuple[str, str], tuple[int, st
             )
         rows[record_id, shot] = line_number, text
     return rows
+
+
+def read_outputs(outputs_path: str | Path) -> dict[tuple[str, str], tuple[int, str]]:
+    """``parse_outputs`` of an outputs file, less a torn last line.
+
+    A run killed mid-write leaves an unterminated fragment as the last line.
+    An unterminated last line that is not UTF-8 JSON is such a fragment and
+    is left out; one that is JSON is read like any other line.
+    """
+    with open(outputs_path, "rb") as handle:
+        lines = handle.readlines()
+    if lines and not lines[-1].endswith(b"\n"):
+        try:
+            json.loads(lines[-1].decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError is one too
+            lines.pop()
+    return parse_outputs(lines)
 
 
 def _resume(outputs_path: Path) -> tuple[set[tuple[str, str]], str]:
@@ -439,10 +459,10 @@ def run_experiment(
     work: list[tuple[str, str, str]] = []  # (record_id, shot label, prompt)
     for record in records:
         pending = [shot for shot in shots if (record.id, shot.label) not in done]
-        # One ranking per record: a shot's examples are a prefix of the longest list.
-        ranked = examples.select(record.id, max((s.n_examples for s in pending), default=0))
+        # One draw per record: a shot's examples are a prefix of the longest list.
+        drawn = examples.select(record.id, max((s.n_examples for s in pending), default=0))
         for shot in pending:
-            spec = PromptSpec(manifest.template_id, shot, tuple(ranked[: shot.n_examples]), record)
+            spec = PromptSpec(manifest.template_id, shot, tuple(drawn[: shot.n_examples]), record)
             chosen = [examples.records[example_id] for example_id in spec.example_ids]
             work.append((record.id, shot.label, build_prompt(spec, chosen)))
 

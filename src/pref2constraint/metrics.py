@@ -32,7 +32,7 @@ from .constraints import Constraint, extract_constraints, render_constraint
 from .dataset import GoldRecord
 from .errors import Pref2ConstraintError
 # CorruptOutputsError lives in llm, which owns the run format, and is re-exported here.
-from .llm import CorruptOutputsError, parse_outputs, read_manifest  # noqa: F401
+from .llm import CorruptOutputsError, read_manifest, read_outputs  # noqa: F401
 
 
 class MetricsError(Pref2ConstraintError):
@@ -210,6 +210,7 @@ def evaluate_run(
     constraints.  With ``corpus_chrf`` the n-gram counts are pooled over
     utterances instead of averaging per-utterance scores.  Reports follow
     each shot's first line in the file, and their rows that shot's lines.
+    A torn last line, left by a killed run, is skipped (``read_outputs``).
     """
     if model_id is None:
         manifest = read_manifest(outputs_path)
@@ -219,14 +220,13 @@ def evaluate_run(
     responses: dict[str, dict[str, str]] = {}  # record_id -> shot -> response
     # shot -> record_id -> score, keys in file order, values filled in record by record
     scored: dict[str, dict[str, UtteranceScore | None]] = {}
-    with open(outputs_path, "rb") as handle:
-        for (record_id, shot), (line_number, text) in parse_outputs(handle).items():
-            if record_id not in by_id:
-                raise MissingGoldError(
-                    f"line {line_number}: record id {record_id!r} not in gold dataset"
-                )
-            responses.setdefault(record_id, {})[shot] = text
-            scored.setdefault(shot, {})[record_id] = None
+    for (record_id, shot), (line_number, text) in read_outputs(outputs_path).items():
+        if record_id not in by_id:
+            raise MissingGoldError(
+                f"line {line_number}: record id {record_id!r} not in gold dataset"
+            )
+        responses.setdefault(record_id, {})[shot] = text
+        scored.setdefault(shot, {})[record_id] = None
 
     # Record by record, so each gold reference is rendered and counted once.
     pooled = {shot: [[0] * len(CHRF_ORDERS) for _ in range(3)] for shot in scored}

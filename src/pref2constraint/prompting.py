@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import heapq
 from dataclasses import dataclass
 
 from .dataset import GoldRecord, resource_path, tag_utterance
@@ -154,9 +153,15 @@ class ExamplePool:
     ``select(target_id, k)`` picks k example ids, never the target,
     deterministically from the seed.  Records sharing a gold constraint
     with the target are skipped too, so no example block ever spells out
-    the target's own answer.  Candidates are ranked by the
-    SHA-256 of "seed:target id:candidate id", which keeps the choice stable
-    across platforms and Python versions.  The rank ignores k, so
+    the target's own answer.  Each target draws from its own stream: draw
+    d takes the SHA-256 of "seed:target id:d", reads its first 8 bytes as
+    a big-endian integer and uses it, modulo the record count, as an index
+    into the sorted record ids.  A draw that hits the target, a record
+    sharing a gold constraint with it or an id already chosen is skipped,
+    and drawing stops at k.  So the choice is a uniform ordered sample
+    without replacement (up to a modulo bias of at most N / 2**64 for N
+    records), stable across platforms, Python versions and record order,
+    and it costs about k hashes per target.  The stream ignores k, so
     ``select(target_id, k)[:j] == select(target_id, j)`` for every j <= k.
     """
 
@@ -170,30 +175,39 @@ class ExamplePool:
             self.records[record.id] = record
             for constraint in record.constraints:
                 self._holders.setdefault(constraint, set()).add(record.id)
+        self._ids = sorted(self.records)
 
     def select(self, target_id: str, k: int) -> list[str]:
         if k < 0:
             raise PromptingError(f"k must be >= 0, got {k}")
         if k == 0:
             return []
-        taboo = {target_id}
-        if target_id in self.records:
-            for constraint in self.records[target_id].constraints:
-                taboo |= self._holders[constraint]
-        candidates = [record_id for record_id in self.records if record_id not in taboo]
-        if k > len(candidates):
-            raise InsufficientDataError(
-                f"need {k} examples but only {len(candidates)} records are available "
-                f"besides the target"
-            )
-        prefix = hashlib.sha256(f"{self._seed}:{target_id}:".encode("utf-8"))
-
-        def rank(candidate_id: str) -> bytes:
-            digest = prefix.copy()
-            digest.update(candidate_id.encode("utf-8"))
-            return digest.digest()  # orders like the hex digest
-
-        return heapq.nsmallest(k, candidates, key=rank)
+        target = self.records.get(target_id)
+        # Left out: the target and every holder of one of its gold constraints.
+        holders = [self._holders[c] for c in target.constraints] if target is not None else []
+        # Their count is at most 1 + the holder counts; it is counted only when that bound
+        # leaves fewer than k, so a target costs O(k), not O(records left out).
+        if k > len(self.records) - 1 - sum(map(len, holders)):
+            available = len(self.records) - len({target_id}.union(*holders) & self.records.keys())
+            if k > available:
+                raise InsufficientDataError(
+                    f"need {k} examples but only {available} records are available "
+                    f"besides the target"
+                )
+        # k <= available, so the loop ends: each draw can hit any id still free.
+        chosen: list[str] = []
+        draw = 0
+        while len(chosen) < k:
+            digest = hashlib.sha256(f"{self._seed}:{target_id}:{draw}".encode("utf-8")).digest()
+            candidate = self._ids[int.from_bytes(digest[:8], "big") % len(self._ids)]
+            if not (
+                candidate == target_id
+                or candidate in chosen
+                or any(candidate in holder_ids for holder_ids in holders)
+            ):
+                chosen.append(candidate)
+            draw += 1
+        return chosen
 
 
 def select_examples(

@@ -52,29 +52,41 @@ def chrf_oracle(reference: str, hypothesis: str, beta: float = 1.0, max_n: int =
     return 100.0 * (1 + beta**2) * chr_p * chr_r / (chr_r + beta**2 * chr_p)
 
 
-def selection_oracle(dataset, target_id: str, k: int, seed: int) -> list[str]:
-    """Full-scan example selection, one call per (target, k).
+def draw_oracle(dataset, target_id: str, k: int, seed: int, draws: int = 512) -> list[str]:
+    """Example selection from a fixed-length hash stream, one call per (target, k).
 
     Leaves out every record with the target's id and every record sharing a
-    gold constraint with the first one, sorts the rest by the hex SHA-256 of
-    "seed:target id:candidate id" and keeps the first k.  Raises ValueError
-    when fewer than k records are left.
+    gold constraint with the first one.  Builds the whole stream of ``draws``
+    indices first: draw d is the hex SHA-256 of "seed:target id:d", its first
+    16 hex digits read as an integer modulo the record count, indexing the
+    sorted record ids.  Then keeps each id's first appearance, drops the
+    left-out ids and keeps the first k.  Raises ValueError when fewer than k
+    records are left, and AssertionError if the stream is too short to pick k.
     """
     target = next((record for record in dataset if record.id == target_id), None)
     taboo = set(target.constraints) if target is not None else set()
-    candidates = [
+    candidates = {
         record.id
         for record in dataset
         if record.id != target_id and not (taboo & set(record.constraints))
-    ]
+    }
     if k > len(candidates):
         raise ValueError(f"need {k} examples, only {len(candidates)} available")
-
-    def rank(candidate_id: str) -> str:
-        key = f"{seed}:{target_id}:{candidate_id}".encode("utf-8")
-        return hashlib.sha256(key).hexdigest()
-
-    return sorted(candidates, key=rank)[:k]
+    if k == 0:
+        return []
+    ids = sorted(record.id for record in dataset)
+    stream = []
+    for draw in range(draws):
+        key = f"{seed}:{target_id}:{draw}".encode("utf-8")
+        stream.append(ids[int(hashlib.sha256(key).hexdigest()[:16], 16) % len(ids)])
+    first_seen = []
+    for record_id in stream:
+        if record_id not in first_seen:
+            first_seen.append(record_id)
+    picked = [record_id for record_id in first_seen if record_id in candidates]
+    if len(picked) < k:
+        raise AssertionError(f"{draws} draws picked only {len(picked)} of {k} examples")
+    return picked[:k]
 
 
 def _window_minutes(condition) -> tuple[int, int]:

@@ -547,6 +547,22 @@ class TestRunExperiment:
             run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
         assert not outputs.exists()
 
+    @pytest.mark.parametrize("value", [True, "0.5", None], ids=repr)
+    @pytest.mark.parametrize("name", ["temperature", "top_p"])
+    def test_manifest_decoding_numbers_must_be_json_numbers(
+        self, pilot_manifest, pilot_records, tmp_path, name, value
+    ):
+        outputs = tmp_path / "run.jsonl"
+        data = pilot_manifest.to_dict()
+        data["decoding"][name] = value
+        manifest_path_for(outputs).write_text(json.dumps(data), "utf-8")
+        message = f"{manifest_path_for(outputs)}: {name!r} must be a number, got {json.dumps(value)}"
+        with pytest.raises(CorruptManifestError, match=re.escape(message)):
+            read_manifest(outputs)
+        with pytest.raises(CorruptManifestError, match=re.escape(message)):
+            run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert not outputs.exists()
+
     def test_each_shot_takes_a_prefix_of_one_ranking(self, pilot_manifest, pilot_records, tmp_path):
         def lines_by_pair(path):
             lines = path.read_text("utf-8").splitlines(keepends=True)
@@ -592,7 +608,7 @@ class TestRunExperiment:
     def test_zero_shot_run_ranks_no_examples(
         self, pilot_manifest, pilot_records, tmp_path, monkeypatch
     ):
-        monkeypatch.setattr(prompting, "hashlib", None)  # ranking would need hashlib.sha256
+        monkeypatch.setattr(prompting, "hashlib", None)  # drawing would need hashlib.sha256
         backend = shipped_mock_backend()
         zero_shot = replace(pilot_manifest, shot_labels=("0s",))
         summary = run_experiment(zero_shot, pilot_records, backend, tmp_path / "a.jsonl")

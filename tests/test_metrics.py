@@ -309,6 +309,47 @@ class TestEvaluateRun:
             evaluate_run(outputs, GOLD, model_id="m")
         assert excinfo.value.line_number == 4
 
+    @pytest.mark.parametrize(
+        "tail",
+        [b'{"record_id": "u2", "sh', b'{"record_id": "u2", "shot": "0s", "response_text": "\xe2\x88'],
+        ids=["mid-key", "mid-character"],
+    )
+    def test_torn_last_line_is_skipped(self, tmp_path, tail):
+        outputs = tmp_path / "run.jsonl"
+        row = {"record_id": "u1", "shot": "0s", "prompt_digest": "x", "response_text": "y"}
+        write_outputs(outputs, [row])
+        expected = evaluate_run(outputs, GOLD, model_id="m")
+        outputs.write_bytes(outputs.read_bytes() + tail)
+        assert evaluate_run(outputs, GOLD, model_id="m") == expected
+
+    def test_complete_unterminated_last_line_is_scored(self, tmp_path):
+        outputs = tmp_path / "run.jsonl"
+        row = {"record_id": "u1", "shot": "0s", "prompt_digest": "x", "response_text": "y"}
+        write_outputs(outputs, [row, {**row, "record_id": "u2"}])
+        expected = evaluate_run(outputs, GOLD, model_id="m")
+        outputs.write_bytes(outputs.read_bytes().removesuffix(b"\n"))
+        (report,) = evaluate_run(outputs, GOLD, model_id="m")
+        assert [report] == expected and report.n_utterances == 2
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            # an unterminated last line that is JSON is checked like any other
+            [b'{"record_id": "u1", "shot": "0s", "response_text": "y"}', b'{"record_id": "u2"}'],
+            [b'{"record_id": "u1", "shot": "0s", "response_text": "y"}'] * 2,
+            # only the last line can be torn
+            [b'{"record_id": "u1", "sh', b'{"record_id": "u2", "shot": "0s", "response_text": "y"}'],
+            [b'{"record_id": "u1", "shot": "0s", "response_text": "y"}', b'{"record_id": "u2", "sh\n'],
+        ],
+        ids=["missing-field", "duplicate", "torn-first-line", "terminated-fragment"],
+    )
+    def test_other_bad_lines_still_raise(self, tmp_path, lines):
+        outputs = tmp_path / "run.jsonl"
+        outputs.write_bytes(b"\n".join(lines))
+        with pytest.raises(CorruptOutputsError) as excinfo:
+            evaluate_run(outputs, GOLD, model_id="m")
+        assert excinfo.value.line_number == (1 if lines[0].endswith(b"sh") else 2)
+
     def test_accuracies_equal_public_functions_on_partial_run(self, tmp_path):
         gold = [
             record("u1", "s_t = 1 ∀ 07:00 ≤ t ≤ 08:30", "h_t = 21 ∀ t ≥ 22:00", "s_t = 0 ∀ t ≤ 06:00"),

@@ -1,8 +1,13 @@
+import hashlib
+import random
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from oracles import selection_oracle
+from oracles import draw_oracle
+from pref2constraint import prompting
 from pref2constraint.constraints import parse_constraint
 from pref2constraint.dataset import GoldRecord, resource_path
 from pref2constraint.prompting import (
@@ -205,7 +210,7 @@ def selections(dataset, target_id, k, seed):
     for select, error in (
         (lambda: select_examples(dataset, target_id, k, seed), InsufficientDataError),
         (lambda: ExamplePool(dataset, seed).select(target_id, k), InsufficientDataError),
-        (lambda: selection_oracle(dataset, target_id, k, seed), ValueError),
+        (lambda: draw_oracle(dataset, target_id, k, seed), ValueError),
     ):
         try:
             results.append(select())
@@ -223,7 +228,7 @@ class TestExamplePool:
             chosen = {k: pool.select(record.id, k) for k in range(MAX_FEW_SHOT + 1)}
             for k, ids in chosen.items():
                 assert ids == select_examples(corpus, record.id, k, seed)
-                assert ids == selection_oracle(corpus, record.id, k, seed)
+                assert ids == draw_oracle(corpus, record.id, k, seed)
                 assert all(ids[:j] == chosen[j] for j in range(k + 1))
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -255,6 +260,75 @@ class TestExamplePool:
     def test_negative_k_rejected(self, pilot_records):
         with pytest.raises(PromptingError):
             ExamplePool(pilot_records, 0).select("u01", -1)
+
+    def test_record_sharing_two_constraints_is_left_out_once(self):
+        texts = ("s_t = 1 ∀ t", "h_t = 21 ∀ t")
+        constraints = tuple(parse_constraint(text) for text in texts)
+        dataset = [GoldRecord(record_id, "x", (), constraints, texts) for record_id in ("t", "twin")]
+        dataset += [GoldRecord(f"free{i}", "x", (), (), ()) for i in range(3)]
+        assert sorted(ExamplePool(dataset, 0).select("t", 3)) == ["free0", "free1", "free2"]
+        with pytest.raises(InsufficientDataError, match="only 3 records are available"):
+            ExamplePool(dataset, 0).select("t", 4)
+
+    def test_known_answer(self, pilot_records):
+        assert ExamplePool(pilot_records, 0).select("u01", 5) == ["u13", "u26", "u16", "u21", "u04"]
+
+    def test_record_order_does_not_matter(self, pilot_records):
+        shuffled = list(pilot_records)
+        random.Random(5).shuffle(shuffled)
+        assert shuffled != pilot_records
+        for seed in range(4):
+            pool, shuffled_pool = ExamplePool(pilot_records, seed), ExamplePool(shuffled, seed)
+            for record in pilot_records:
+                for k in range(MAX_FEW_SHOT + 1):
+                    assert pool.select(record.id, k) == shuffled_pool.select(record.id, k)
+
+    @pytest.mark.parametrize("target_id", ["u01", "u13"])
+    def test_first_pick_is_uniform(self, pilot_records, target_id):
+        first_picks = Counter(
+            ExamplePool(pilot_records, seed).select(target_id, 1)[0] for seed in range(2000)
+        )
+        target = next(r for r in pilot_records if r.id == target_id)
+        free = [
+            r.id
+            for r in pilot_records
+            if r.id != target_id and not set(r.constraints) & set(target.constraints)
+        ]
+        assert set(first_picks) <= set(free)
+        expected = 2000 / len(free)
+        chi_square = sum((first_picks[i] - expected) ** 2 / expected for i in free)
+        # Wilson-Hilferty approximation of the chi-square 0.999 quantile (z = 3.0902)
+        df, z = len(free) - 1, 3.0902
+        assert chi_square < df * (1 - 2 / (9 * df) + z * (2 / (9 * df)) ** 0.5) ** 3
+
+    def test_about_one_hash_per_pick(self, pilot_records, monkeypatch):
+        digests = []
+
+        class CountedHash:
+            """A SHA-256 object that counts each digest taken, copies included."""
+
+            def __init__(self, inner):
+                self._inner = inner
+
+            def update(self, data):
+                self._inner.update(data)
+
+            def copy(self):
+                return CountedHash(self._inner.copy())
+
+            def digest(self):
+                digests.append(None)
+                return self._inner.digest()
+
+        def sha256(data=b""):
+            return CountedHash(hashlib.sha256(data))
+
+        monkeypatch.setattr(prompting, "hashlib", SimpleNamespace(sha256=sha256))
+        corpus = scaled_corpus(pilot_records, 80)
+        pool = ExamplePool(corpus, 0)
+        for record in corpus:
+            assert len(pool.select(record.id, 5)) == 5
+        assert len(digests) <= 1.2 * 5 * len(corpus)
 
 
 class TestGoldenPrompts:
