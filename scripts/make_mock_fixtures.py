@@ -31,7 +31,7 @@ from pref2constraint.constraints import (  # noqa: E402
 )
 from pref2constraint.dataset import GoldRecord, load_pilot_corpus, mock_fixtures_path  # noqa: E402
 from pref2constraint.llm import prompt_digest  # noqa: E402
-from pref2constraint.prompting import SHOT_LABELS, PromptSpec, ShotSetting, build_prompt, select_examples  # noqa: E402
+from pref2constraint.prompting import SHOT_LABELS, ExamplePool, PromptSpec, ShotSetting, build_prompt  # noqa: E402
 
 OUT = mock_fixtures_path()
 
@@ -123,11 +123,13 @@ def synthesize(record: GoldRecord, shot_label: str) -> str:
 
 def main() -> None:
     records = load_pilot_corpus()
+    pool = ExamplePool(records, SEED)
     fixtures: dict[str, str] = {}
     for record in records:
         for shot in SHOTS:
-            example_ids = tuple(select_examples(records, record.id, shot.n_examples, SEED))
-            prompt = build_prompt(PromptSpec(TEMPLATE_ID, shot, example_ids, record), records)
+            example_ids = tuple(pool.select(record.id, shot.n_examples))
+            chosen = [pool.records[example_id] for example_id in example_ids]
+            prompt = build_prompt(PromptSpec(TEMPLATE_ID, shot, example_ids, record), chosen)
             fixtures[prompt_digest(prompt)] = synthesize(record, shot.label)
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(

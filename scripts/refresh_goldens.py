@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from pref2constraint.dataset import load_pilot_corpus, mock_fixtures_path, pilot_corpus_path  # noqa: E402
 from pref2constraint.llm import MockBackend, RunManifest, run_experiment  # noqa: E402
 from pref2constraint.metrics import evaluate_run, reports_to_json  # noqa: E402
-from pref2constraint.prompting import SHOT_LABELS, PromptSpec, ShotSetting, build_prompt, select_examples  # noqa: E402
+from pref2constraint.prompting import SHOT_LABELS, ExamplePool, PromptSpec, ShotSetting, build_prompt  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "goldens"
 
@@ -29,11 +29,12 @@ TEMPLATE_ID = "it"
 
 
 def refresh_prompts() -> None:
-    records = load_pilot_corpus()
-    target = next(r for r in records if r.id == TARGET_ID)
+    pool = ExamplePool(load_pilot_corpus(), SEED)
+    target = pool.records[TARGET_ID]
     for shot in map(ShotSetting.from_label, SHOT_LABELS):
-        example_ids = tuple(select_examples(records, TARGET_ID, shot.n_examples, SEED))
-        prompt = build_prompt(PromptSpec(TEMPLATE_ID, shot, example_ids, target), records)
+        example_ids = tuple(pool.select(TARGET_ID, shot.n_examples))
+        chosen = [pool.records[example_id] for example_id in example_ids]
+        prompt = build_prompt(PromptSpec(TEMPLATE_ID, shot, example_ids, target), chosen)
         out = GOLDEN_DIR / f"prompt_{shot.label}.txt"
         out.write_text(prompt, encoding="utf-8")
         print(f"wrote {out}")

@@ -28,9 +28,13 @@ from .llm import (
     DEFAULT_CONCURRENCY,
     ConfigError,
     DecodingConfig,
+    ManifestMismatchError,
     MockBackend,
     OpenAICompatBackend,
     RunManifest,
+    file_sha256,
+    manifest_path_for,
+    read_manifest,
     run_experiment,
 )
 from .metrics import evaluate_run, render_table, reports_to_json
@@ -38,10 +42,10 @@ from .prompting import (
     DEFAULT_TEMPLATE_ID,
     MAX_FEW_SHOT,
     SHOT_LABELS,
+    ExamplePool,
     PromptSpec,
     ShotSetting,
     build_prompt,
-    select_examples,
 )
 from .scheduler import ScheduleProblem, check_functional, solve
 
@@ -110,20 +114,20 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return 0
 
 
-def _target_record(args: argparse.Namespace) -> tuple[list[GoldRecord], GoldRecord]:
-    """The dataset and its record ``args.target_id``."""
-    records = load_dataset(_dataset_path(args))
-    by_id = {r.id: r for r in records}
-    if args.target_id not in by_id:
-        raise Pref2ConstraintError(f"record id {args.target_id!r} not in dataset")
-    return records, by_id[args.target_id]
+def _target_record(records: dict[str, GoldRecord], target_id: str) -> GoldRecord:
+    """The record ``target_id`` of a dataset indexed by id."""
+    if target_id not in records:
+        raise Pref2ConstraintError(f"record id {target_id!r} not in dataset")
+    return records[target_id]
 
 
 def cmd_prompt(args: argparse.Namespace) -> int:
-    records, target = _target_record(args)
+    pool = ExamplePool(load_dataset(_dataset_path(args)), args.seed)
+    target = _target_record(pool.records, args.target_id)
     shot = ShotSetting.from_label(args.shot, args.k)
-    example_ids = tuple(select_examples(records, args.target_id, shot.n_examples, args.seed))
-    prompt = build_prompt(PromptSpec(args.template, shot, example_ids, target), records)
+    example_ids = tuple(pool.select(args.target_id, shot.n_examples))
+    chosen = [pool.records[example_id] for example_id in example_ids]
+    prompt = build_prompt(PromptSpec(args.template, shot, example_ids, target), chosen)
     payload = {
         "target_id": args.target_id,
         "shot": shot.label,
@@ -190,8 +194,28 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _gold_path(args: argparse.Namespace) -> Path:
+    """``--gold``, else the corpus named in the run's manifest, else the shipped pilot corpus."""
+    if args.gold:
+        return Path(args.gold)
+    manifest = read_manifest(args.outputs)
+    if manifest is None:
+        return pilot_corpus_path()
+    path = Path(manifest.dataset_path)
+    if not path.is_file():
+        fault = "is missing"
+    elif file_sha256(path) != manifest.dataset_sha256:
+        fault = "changed since the run"
+    else:
+        return path
+    raise ManifestMismatchError(
+        f"{manifest_path_for(args.outputs)}: dataset file {path} {fault}; "
+        "pass --gold to name the gold corpus"
+    )
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
-    gold = load_dataset(Path(args.gold) if args.gold else pilot_corpus_path())
+    gold = load_dataset(_gold_path(args))
     reports = evaluate_run(
         args.outputs, gold, model_id=args.model, corpus_chrf=args.corpus_chrf
     )
@@ -251,7 +275,8 @@ def cmd_check_functional(args: argparse.Namespace) -> int:
 
 
 def cmd_tag(args: argparse.Namespace) -> int:
-    tagged = tag_utterance(_target_record(args)[1])
+    records = {record.id: record for record in load_dataset(_dataset_path(args))}
+    tagged = tag_utterance(_target_record(records, args.target_id))
     _emit(args, {"record_id": args.target_id, "tagged": tagged}, tagged)
     return 0
 
@@ -303,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("eval", cmd_eval, "score an outputs file against gold")
     p.add_argument("--outputs", required=True)
-    p.add_argument("--gold", help="gold corpus path (default: shipped pilot corpus)")
+    p.add_argument("--gold", help="gold corpus path (default: the run's corpus, per its manifest)")
     p.add_argument("--model", help="model id for the report (default: manifest)")
     p.add_argument("--corpus-chrf", action="store_true", help="pool n-grams over utterances")
     p.add_argument("--report", help="also write the JSON report here")

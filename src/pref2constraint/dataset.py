@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .constraints import Constraint, ConstraintError, parse_constraint
-from .errors import Pref2ConstraintError
+from .errors import LineError, Pref2ConstraintError, json_lines
 
 SPAN_KINDS = ("time", "temperature")
 
@@ -38,20 +38,12 @@ class DatasetError(Pref2ConstraintError):
     pass
 
 
-class SchemaError(DatasetError):
+class SchemaError(DatasetError, LineError):
     """A record violates the file schema (fields, offsets, span overlap)."""
 
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
-
-class ConstraintParseError(DatasetError):
+class ConstraintParseError(DatasetError, LineError):
     """A gold constraint string failed the strict parse."""
-
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 @dataclass(frozen=True)
@@ -140,14 +132,7 @@ def load_dataset(path: str | Path) -> list[GoldRecord]:
     records = []
     seen_ids: set[str] = set()
     with open(path, "rb") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            try:
-                text = line.decode("utf-8")
-                if not text.strip():
-                    continue
-                raw = json.loads(text)
-            except ValueError as exc:  # UnicodeDecodeError is one too
-                raise SchemaError(f"not UTF-8 JSON: {exc}", line_number) from exc
+        for line_number, raw in json_lines(handle, SchemaError):
             record = _record_from_dict(raw, line_number)
             if record.id in seen_ids:
                 raise SchemaError(f"duplicate record id {record.id!r}", line_number)

@@ -26,7 +26,7 @@ from .constraints import (
     Until,
     Variable,
 )
-from .errors import Pref2ConstraintError
+from .errors import Pref2ConstraintError, int_field, json_number
 
 ALLOWED_SLOT_MINUTES = (1, 5, 15, 30, 60)
 
@@ -139,21 +139,6 @@ class GroundedAssignment:
                     f"'temperature' entries must be finite numbers or null, got {json.dumps(v)}"
                 )
         return cls(horizon, list(data["state"]), temperature)
-
-
-def int_field(data: dict, name: str) -> int:
-    """``data[name]`` if it is a JSON integer (not a float or a boolean); else a TypeError."""
-    value = data[name]
-    if type(value) is not int:
-        raise TypeError(f"{name!r} must be an integer, got {json.dumps(value)}")
-    return value
-
-
-def json_number(value: object, rule: str) -> float:
-    """``value`` as a float if it is a JSON number (not a boolean); else a TypeError citing ``rule``."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{rule}, got {json.dumps(value)}")
-    return float(value)
 
 
 def _slot_range(window: tuple[int, int], horizon: Horizon) -> range:

@@ -31,8 +31,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
 from .dataset import GoldRecord
-from .errors import Pref2ConstraintError
-from .grounding import int_field, json_number
+from .errors import (
+    LineError, Pref2ConstraintError, int_field, json_lines, json_number, read_json_object, str_field
+)
 from .prompting import MAX_FEW_SHOT, ExamplePool, PromptSpec, ShotSetting, build_prompt, get_template
 # Not called here: perfbench/tracing.py wraps llm.select_examples by name.
 from .prompting import select_examples  # noqa: F401
@@ -83,10 +84,8 @@ class ConfigError(Pref2ConstraintError, ValueError):
     pass
 
 
-class CorruptOutputsError(Pref2ConstraintError, ValueError):
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+class CorruptOutputsError(LineError, ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -142,20 +141,13 @@ class MockBackend:
     @classmethod
     def from_file(cls, path: str | Path) -> "MockBackend":
         """Fixtures from a JSON object mapping each prompt digest to a response string."""
-        try:
-            responses = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError is one too
-            raise ConfigError(f"{path}: not UTF-8 JSON: {exc}") from exc
-        if not isinstance(responses, dict):
-            raise ConfigError(
-                f"{path}: expected a JSON object of prompt digests and responses, "
-                f"got {type(responses).__name__}"
-            )
-        for digest, text in responses.items():
-            if not isinstance(text, str):
-                message = f"the response for prompt digest {digest!r} is not a string"
-                raise ConfigError(f"{path}: {message}")
-        return cls(responses)
+        def parse(responses: dict) -> "MockBackend":
+            for digest, text in responses.items():
+                if not isinstance(text, str):
+                    raise TypeError(f"the response for prompt digest {digest!r} is not a string")
+            return cls(responses)
+
+        return read_json_object(path, ConfigError, parse)
 
     def send(self, request: CompletionRequest) -> ModelResponse:
         digest = prompt_digest(request.prompt)
@@ -301,10 +293,14 @@ class RunManifest:
     def from_dict(cls, data: dict) -> "RunManifest":
         # Every field is read before any is converted, so a KeyError names the first missing one.
         values = {f.name: data[f.name] for f in fields(cls)}
-        decoding = values["decoding"]
+        decoding, labels = values["decoding"], values["shot_labels"]
+        if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+            raise TypeError(f"'shot_labels' must be an array of strings, got {json.dumps(labels)}")
         return cls(**{
             **values,
-            "shot_labels": tuple(values["shot_labels"]),
+            # Annotations are strings in this module, so this picks the fields declared str.
+            **{f.name: str_field(values, f.name) for f in fields(cls) if f.type == "str"},
+            "shot_labels": tuple(labels),
             "few_shot_k": int_field(values, "few_shot_k"),
             "decoding": DecodingConfig(**{
                 **decoding,
@@ -342,12 +338,7 @@ def read_manifest(outputs_path: str | Path) -> RunManifest | None:
     manifest_file = manifest_path_for(outputs_path)
     if not manifest_file.exists():
         return None
-    try:
-        return RunManifest.from_dict(json.loads(manifest_file.read_text("utf-8")))
-    except KeyError as exc:
-        raise CorruptManifestError(f"{manifest_file}: missing field {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise CorruptManifestError(f"{manifest_file}: {exc}") from exc
+    return read_json_object(manifest_file, CorruptManifestError, RunManifest.from_dict)
 
 
 def parse_outputs(lines: Iterable[bytes]) -> dict[tuple[str, str], tuple[int, str]]:
@@ -358,16 +349,12 @@ def parse_outputs(lines: Iterable[bytes]) -> dict[tuple[str, str], tuple[int, st
     shot) pair, raises CorruptOutputsError.
     """
     rows: dict[tuple[str, str], tuple[int, str]] = {}
-    for line_number, raw in enumerate(lines, start=1):
+    for line_number, data in json_lines(lines, CorruptOutputsError):
         try:
-            line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            data = json.loads(line)
             record_id, shot, text = data["record_id"], data["shot"], data["response_text"]
             if not all(isinstance(value, str) for value in (record_id, shot, text)):
                 raise TypeError("record_id, shot and response_text must be strings")
-        except (ValueError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise CorruptOutputsError(f"bad outputs line: {exc}", line_number) from exc
         if (record_id, shot) in rows:
             raise CorruptOutputsError(

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 from .constraints import Constraint, extract_constraints, render_constraint
 from .dataset import GoldRecord
-from .errors import Pref2ConstraintError
+from .errors import LineError, Pref2ConstraintError
 # CorruptOutputsError lives in llm, which owns the run format, and is re-exported here.
 from .llm import CorruptOutputsError, read_manifest, read_outputs  # noqa: F401
 
@@ -47,7 +47,7 @@ class MissingRecordError(MetricsError):
     pass
 
 
-class MissingGoldError(MetricsError):
+class MissingGoldError(MetricsError, LineError):
     pass
 
 
@@ -222,9 +222,7 @@ def evaluate_run(
     scored: dict[str, dict[str, UtteranceScore | None]] = {}
     for (record_id, shot), (line_number, text) in read_outputs(outputs_path).items():
         if record_id not in by_id:
-            raise MissingGoldError(
-                f"line {line_number}: record id {record_id!r} not in gold dataset"
-            )
+            raise MissingGoldError(f"record id {record_id!r} not in gold dataset", line_number)
         responses.setdefault(record_id, {})[shot] = text
         scored.setdefault(shot, {})[record_id] = None
 

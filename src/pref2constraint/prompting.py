@@ -216,6 +216,9 @@ def select_examples(
     """Pick k example ids for one target; see ``ExamplePool`` for the rule.
 
     This builds the index for a single call.  A caller that selects for
-    many targets builds one ``ExamplePool`` and calls ``select`` on it.
+    many targets builds one ``ExamplePool`` and calls ``select`` on it, as
+    every caller in the package and its scripts does.  Only the benchmark
+    (``perfbench``) still needs it: it imports this function, and traces
+    its re-export ``llm.select_examples`` by name.
     """
     return ExamplePool(dataset, seed).select(target_id, k)

@@ -22,8 +22,8 @@ from itertools import accumulate
 from pathlib import Path
 
 from .constraints import Constraint
-from .errors import Pref2ConstraintError
-from .grounding import ConflictError, GroundedAssignment, Horizon, ground, int_field, json_number, merge
+from .errors import Pref2ConstraintError, int_field, json_number, read_json_object
+from .grounding import ConflictError, GroundedAssignment, Horizon, ground, merge
 
 
 class SchedulerError(Pref2ConstraintError):
@@ -99,16 +99,7 @@ class ScheduleProblem:
     @classmethod
     def from_file(cls, path: str | Path) -> "ScheduleProblem":
         """Read a problem from a JSON file; any fault in it is a SchedulerError naming the file."""
-        with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-                if not isinstance(data, dict):
-                    raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-                return cls.from_dict(data)
-            except KeyError as exc:
-                raise SchedulerError(f"{path}: missing field {exc}") from exc
-            except (ValueError, TypeError, Pref2ConstraintError) as exc:
-                raise SchedulerError(f"{path}: {exc}") from exc
+        return read_json_object(path, SchedulerError, cls.from_dict)
 
 
 @dataclass(frozen=True)

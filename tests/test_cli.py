@@ -160,6 +160,68 @@ class TestRunAndEval:
             "0s", "1s", "fs",
         }
 
+    @staticmethod
+    def pilot_copy(tmp_path, edit=lambda record: record):
+        """A copy of the pilot corpus with ``edit`` applied to each record's JSON object."""
+        lines = pilot_corpus_path().read_text("utf-8").splitlines()
+        records = [edit(json.loads(line)) for line in lines]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), "utf-8")
+        return path
+
+    def test_eval_scores_against_the_corpus_the_run_used(self, capsys, tmp_path):
+        def edit(record):
+            if record["id"] == "u01":
+                record["constraints"] = ["s_t = 1 ∀ t ≤ 08:30"]
+            return record
+
+        data = self.pilot_copy(tmp_path, edit)
+        outputs = tmp_path / "run.jsonl"
+        run = ("run", "--out", str(outputs), "--data", str(data), "--shots", "0s")
+        assert run_cli(capsys, *run)[0] == 0
+        default = run_cli(capsys, "eval", "--outputs", str(outputs), "--json")
+        named = run_cli(capsys, "eval", "--outputs", str(outputs), "--json", "--gold", str(data))
+        pilot = run_cli(
+            capsys, "eval", "--outputs", str(outputs), "--json", "--gold", str(pilot_corpus_path())
+        )
+        assert default == named and default[0] == 0
+        assert pilot[0] == 0 and pilot[1] != default[1]
+
+    def test_eval_scores_a_corpus_with_other_ids(self, capsys, tmp_path):
+        data = self.pilot_copy(tmp_path, lambda record: {**record, "id": "x" + record["id"]})
+        outputs = tmp_path / "run.jsonl"
+        assert run_cli(capsys, "run", "--out", str(outputs), "--data", str(data), "--shots", "0s")[0] == 0
+        code, out, err = run_cli(capsys, "eval", "--outputs", str(outputs), "--json")
+        assert code == 0, err
+        (report,) = json.loads(out)["reports"]
+        assert report["n_utterances"] == 26 and report["per_utterance"][0]["record_id"] == "xu01"
+
+    @pytest.mark.parametrize("change", ["missing", "edited"])
+    def test_eval_refuses_a_run_whose_corpus_is_gone_or_changed(self, capsys, tmp_path, change):
+        data = self.pilot_copy(tmp_path)
+        outputs = tmp_path / "run.jsonl"
+        assert run_cli(capsys, "run", "--out", str(outputs), "--data", str(data), "--shots", "0s")[0] == 0
+        if change == "missing":
+            data.unlink()
+        else:
+            data.write_bytes(data.read_bytes() + b"\n")
+        code, out, err = run_cli(capsys, "eval", "--outputs", str(outputs))
+        assert code == 1 and out == ""
+        assert err.startswith(f"ManifestMismatchError: {manifest_path_for(outputs)}: ")
+        assert str(data) in err and "--gold" in err and err.count("\n") == 1
+        gold = ("--gold", str(pilot_corpus_path()))
+        assert run_cli(capsys, "eval", "--outputs", str(outputs), *gold)[0] == 0
+
+    def test_eval_without_a_manifest_scores_against_the_pilot(self, capsys, tmp_path):
+        outputs = tmp_path / "run.jsonl"
+        assert run_cli(capsys, "run", "--out", str(outputs), "--shots", "0s")[0] == 0
+        manifest_path_for(outputs).unlink()
+        default = run_cli(capsys, "eval", "--outputs", str(outputs), "--json")
+        pilot = run_cli(
+            capsys, "eval", "--outputs", str(outputs), "--json", "--gold", str(pilot_corpus_path())
+        )
+        assert default == pilot and default[0] == 0
+
     def test_run_reports_dropped_torn_line(self, capsys, tmp_path):
         outputs = tmp_path / "run.jsonl"
         outputs.write_text('{"record_id": "u0', "utf-8")
@@ -253,7 +315,7 @@ class TestRunAndEval:
         "fixtures,named",
         [
             ('{"d": 7}', "the response for prompt digest 'd' is not a string"),
-            ('["risposta"]', "expected a JSON object of prompt digests and responses, got list"),
+            ('["risposta"]', "expected a JSON object, got list"),
         ],
         ids=["number-response", "array"],
     )
@@ -455,7 +517,7 @@ class TestScheduleCommands:
                             "temperature": [None] * 5 + [math.inf] + [None] * 18}},
                 "'temperature' entries must be finite numbers or null, got Infinity",
             ),
-            (None, "Expecting value: line 1 column 1 (char 0)"),
+            (None, "not UTF-8 JSON: Expecting value: line 1 column 1 (char 0)"),
         ],
         ids=[
             "slot-45", "power-zero", "pv-length", "long-duration", "forced-horizon",

@@ -94,7 +94,7 @@ class TestMockBackend:
         [
             (b"{", "not UTF-8 JSON: "),
             ('{"d": "caffè"}'.encode("latin-1"), "not UTF-8 JSON: "),
-            (b'["risposta"]', "expected a JSON object of prompt digests and responses, got list"),
+            (b'["risposta"]', "expected a JSON object, got list"),
             (b'{"d": "ok", "e": 7}', "the response for prompt digest 'e' is not a string"),
             (b'{"d": null}', "the response for prompt digest 'd' is not a string"),
         ],
@@ -205,7 +205,10 @@ class LoopbackHandler(BaseHTTPRequestHandler):
 def loopback(monkeypatch):
     monkeypatch.setenv("no_proxy", "127.0.0.1")  # a proxy set in the environment must not see these
     server = LoopbackServer()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll keeps shutdown() from waiting out serve_forever's default 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield server
     server.release.set()
@@ -502,7 +505,11 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize(
         "manifest_text,named",
-        [('{"model_id": "m"}', "missing field 'dataset_path'"), ("[1]", ""), ("{", "")],
+        [
+            ('{"model_id": "m"}', "missing field 'dataset_path'"),
+            ("[1]", "expected a JSON object, got list"),
+            ("{", "not UTF-8 JSON: "),
+        ],
         ids=["missing-field", "not-an-object", "bad-json"],
     )
     def test_unreadable_manifest_is_a_domain_error(
@@ -540,6 +547,40 @@ class TestRunExperiment:
         manifest_path_for(outputs).write_text(json.dumps(data), "utf-8")
         message = (
             f"{manifest_path_for(outputs)}: {path[-1]!r} must be an integer, got {json.dumps(value)}"
+        )
+        with pytest.raises(CorruptManifestError, match=re.escape(message)):
+            read_manifest(outputs)
+        with pytest.raises(CorruptManifestError, match=re.escape(message)):
+            run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert not outputs.exists()
+
+    @pytest.mark.parametrize("value", [5, None, ["m"]], ids=repr)
+    @pytest.mark.parametrize(
+        "name", ["dataset_path", "dataset_sha256", "template_id", "model_id", "timestamp"]
+    )
+    def test_manifest_string_fields_must_be_json_strings(
+        self, pilot_manifest, pilot_records, tmp_path, name, value
+    ):
+        outputs = tmp_path / "run.jsonl"
+        data = {**pilot_manifest.to_dict(), name: value}
+        manifest_path_for(outputs).write_text(json.dumps(data), "utf-8")
+        message = f"{manifest_path_for(outputs)}: {name!r} must be a string, got {json.dumps(value)}"
+        with pytest.raises(CorruptManifestError, match=re.escape(message)):
+            read_manifest(outputs)
+        with pytest.raises(CorruptManifestError, match=re.escape(message)):
+            run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert not outputs.exists()
+
+    @pytest.mark.parametrize("value", ["fs", ["0s", 1], None, {"0s": "fs"}], ids=repr)
+    def test_manifest_shot_labels_must_be_an_array_of_strings(
+        self, pilot_manifest, pilot_records, tmp_path, value
+    ):
+        outputs = tmp_path / "run.jsonl"
+        data = {**pilot_manifest.to_dict(), "shot_labels": value}
+        manifest_path_for(outputs).write_text(json.dumps(data), "utf-8")
+        message = (
+            f"{manifest_path_for(outputs)}: 'shot_labels' must be an array of strings, "
+            f"got {json.dumps(value)}"
         )
         with pytest.raises(CorruptManifestError, match=re.escape(message)):
             read_manifest(outputs)
