@@ -201,13 +201,15 @@ def _gold_path(args: argparse.Namespace) -> Path:
     manifest = read_manifest(args.outputs)
     if manifest is None:
         return pilot_corpus_path()
-    path = Path(manifest.dataset_path)
-    if not path.is_file():
-        fault = "is missing"
-    elif file_sha256(path) != manifest.dataset_sha256:
-        fault = "changed since the run"
-    else:
-        return path
+    recorded = Path(manifest.dataset_path)
+    # A relative path is read from the manifest's folder, then, as older runs wrote it,
+    # from the current directory; the first candidate with the run's hash is the corpus.
+    candidates = list(dict.fromkeys([manifest_path_for(args.outputs).parent / recorded, recorded]))
+    found = [path for path in candidates if path.is_file()]
+    for path in found:
+        if file_sha256(path) == manifest.dataset_sha256:
+            return path
+    path, fault = (found[0], "changed since the run") if found else (candidates[0], "is missing")
     raise ManifestMismatchError(
         f"{manifest_path_for(args.outputs)}: dataset file {path} {fault}; "
         "pass --gold to name the gold corpus"

@@ -64,6 +64,22 @@ def str_field(data: dict, name: str) -> str:
     return value
 
 
+def object_field(data: dict, name: str) -> dict:
+    """``data[name]`` if it is a JSON object; else a TypeError."""
+    value = data[name]
+    if not isinstance(value, dict):
+        raise TypeError(f"{name!r} must be an object, got {json.dumps(value)}")
+    return value
+
+
+def array_field(data: dict, name: str) -> list:
+    """``data[name]`` if it is a JSON array; else a TypeError."""
+    value = data[name]
+    if not isinstance(value, list):
+        raise TypeError(f"{name!r} must be an array, got {json.dumps(value)}")
+    return value
+
+
 def json_number(value: object, rule: str) -> float:
     """``value`` as a float if it is a JSON number (not a boolean); else a TypeError citing ``rule``."""
     if type(value) not in (int, float):

@@ -26,7 +26,7 @@ from .constraints import (
     Until,
     Variable,
 )
-from .errors import Pref2ConstraintError, int_field, json_number
+from .errors import Pref2ConstraintError, array_field, int_field, json_number
 
 ALLOWED_SLOT_MINUTES = (1, 5, 15, 30, 60)
 
@@ -126,19 +126,20 @@ class GroundedAssignment:
     def from_dict(cls, data: dict) -> "GroundedAssignment":
         """Read the JSON form; an ill-typed field is a TypeError naming it."""
         horizon = Horizon(int_field(data, "slot_minutes"))
-        for v in data["state"]:
+        state = array_field(data, "state")
+        for v in state:
             if v is not None and not (type(v) is int and v in (0, 1)):
                 raise TypeError(f"'state' entries must be 0, 1 or null, got {json.dumps(v)}")
         temperature = [
             None if v is None else json_number(v, "'temperature' entries must be numbers or null")
-            for v in data["temperature"]
+            for v in array_field(data, "temperature")
         ]
         for v in temperature:
             if v is not None and not math.isfinite(v):
                 raise GroundingError(
                     f"'temperature' entries must be finite numbers or null, got {json.dumps(v)}"
                 )
-        return cls(horizon, list(data["state"]), temperature)
+        return cls(horizon, list(state), temperature)
 
 
 def _slot_range(window: tuple[int, int], horizon: Horizon) -> range:

@@ -21,6 +21,7 @@ import hashlib
 import http.client
 import json
 import math
+import os
 import time
 import urllib.error
 import urllib.request
@@ -32,7 +33,8 @@ from typing import Callable, Iterable, Protocol
 
 from .dataset import GoldRecord
 from .errors import (
-    LineError, Pref2ConstraintError, int_field, json_lines, json_number, read_json_object, str_field
+    LineError, Pref2ConstraintError, int_field, json_lines, json_number, object_field,
+    read_json_object, str_field,
 )
 from .prompting import MAX_FEW_SHOT, ExamplePool, PromptSpec, ShotSetting, build_prompt, get_template
 # Not called here: perfbench/tracing.py wraps llm.select_examples by name.
@@ -293,7 +295,7 @@ class RunManifest:
     def from_dict(cls, data: dict) -> "RunManifest":
         # Every field is read before any is converted, so a KeyError names the first missing one.
         values = {f.name: data[f.name] for f in fields(cls)}
-        decoding, labels = values["decoding"], values["shot_labels"]
+        decoding, labels = object_field(values, "decoding"), values["shot_labels"]
         if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
             raise TypeError(f"'shot_labels' must be an array of strings, got {json.dumps(labels)}")
         return cls(**{
@@ -344,12 +346,16 @@ def read_manifest(outputs_path: str | Path) -> RunManifest | None:
 def parse_outputs(lines: Iterable[bytes]) -> dict[tuple[str, str], tuple[int, str]]:
     """{(record_id, shot): (line number, response_text)} of outputs lines, in order.
 
-    Blank lines are skipped.  The first line that is not UTF-8 JSON with string
-    ``record_id``, ``shot`` and ``response_text``, or that repeats a (record,
-    shot) pair, raises CorruptOutputsError.
+    Blank lines are skipped.  The first line that is not a UTF-8 JSON object
+    with string ``record_id``, ``shot`` and ``response_text``, or that repeats
+    a (record, shot) pair, raises CorruptOutputsError.
     """
     rows: dict[tuple[str, str], tuple[int, str]] = {}
     for line_number, data in json_lines(lines, CorruptOutputsError):
+        if not isinstance(data, dict):
+            raise CorruptOutputsError(
+                f"expected a JSON object, got {json.dumps(data)}", line_number
+            )
         try:
             record_id, shot, text = data["record_id"], data["shot"], data["response_text"]
             if not all(isinstance(value, str) for value in (record_id, shot, text)):
@@ -413,7 +419,8 @@ def run_experiment(
     backend are byte-reproducible; each line is flushed as it is written.
     A manifest already next to the outputs must equal ``manifest`` but for
     its timestamp and dataset path (the dataset is compared by SHA-256), and
-    is kept; otherwise ``manifest`` is written first.
+    is kept; otherwise ``manifest`` is written first, a relative dataset path
+    rewritten relative to the manifest's folder.
     """
     if concurrency < 1:
         raise ConfigError(f"concurrency must be >= 1, got {concurrency}")
@@ -462,8 +469,12 @@ def run_experiment(
 
     outputs_path.parent.mkdir(parents=True, exist_ok=True)
     if existing is None:
-        with open(manifest_path_for(outputs_path), "w", encoding="utf-8") as handle:
-            json.dump(manifest.to_dict(), handle, ensure_ascii=False, indent=2)
+        manifest_file = manifest_path_for(outputs_path)
+        written = manifest.to_dict()
+        if not Path(manifest.dataset_path).is_absolute():  # so it resolves from any directory
+            written["dataset_path"] = os.path.relpath(manifest.dataset_path, manifest_file.parent)
+        with open(manifest_file, "w", encoding="utf-8") as handle:
+            json.dump(written, handle, ensure_ascii=False, indent=2)
             handle.write("\n")
     with open(outputs_path, "a", encoding="utf-8") as out, ThreadPoolExecutor(
         max_workers=concurrency

@@ -13,6 +13,13 @@ side is empty after stripping; in an ``evaluate_run`` report the same counts
 give such an utterance 0.0, and ``corpus_chrf`` pools the counts of every
 scored line, blank sides included.
 
+Only n-grams of the reference can match, so matches are counted from the
+reference side.  ``reference_grams`` splits a reference's n-grams into those
+occurring once and those that repeat, once per record, and ``chrf_counts``
+searches the hypothesis for each of them: a line costs one C-level substring
+search per reference n-gram (a few more for repeated ones) and builds no
+hypothesis n-gram objects.
+
 The accuracy metrics compare extracted constraints against gold per
 utterance: a maximum matching under an equality predicate — variable kind
 plus assigned value for ``acc_variables``, the normalized time condition
@@ -25,6 +32,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
+from operator import add
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -53,30 +61,61 @@ class MissingGoldError(MetricsError, LineError):
 
 CHRF_ORDERS = range(1, 7)  # character n-gram orders 1..6
 
+# Per order: the n-grams occurring once, and (n-gram, count) of those that repeat.
+ReferenceGrams = list[tuple[list[str], list[tuple[str, int]]]]
 
-def ngram_counts(text: str) -> Counter[str]:
-    """Every character n-gram of ``text`` of orders 1 to 6, in one Counter.
 
-    An n-gram's length is its order, so n-grams of different orders never collide.
+def reference_grams(reference: str) -> ReferenceGrams:
+    """Per order 1 to 6: the reference's n-grams that occur once, and (n-gram, count) of the rest.
+
+    One Counter holds every order: an n-gram's length is its order, so orders never collide.
     """
-    return Counter([text[i : i + n] for n in CHRF_ORDERS for i in range(len(text) - n + 1)])
+    counts = Counter(
+        [reference[i : i + n] for n in CHRF_ORDERS for i in range(len(reference) - n + 1)]
+    )
+    grams: ReferenceGrams = [([], []) for _ in CHRF_ORDERS]
+    for gram, count in counts.items():
+        once, repeated = grams[len(gram) - 1]
+        if count == 1:
+            once.append(gram)
+        else:
+            repeated.append((gram, count))
+    return grams
 
 
 def chrf_counts(
-    reference: str, hypothesis: str, reference_grams: Counter[str] | None = None
+    reference: str, hypothesis: str, grams: ReferenceGrams | None = None
 ) -> tuple[list[int], list[int], list[int]]:
     """Per-order (matched, hypothesis total, reference total) n-gram counts.
 
     A string of length L has max(0, L - n + 1) n-grams of order n; only the
-    clipped overlap needs counting.  ``reference_grams`` is
-    ``ngram_counts(reference)`` when the caller has already counted it.
+    clipped overlap needs counting, and only n-grams of the reference can
+    match.  So the hypothesis is searched for each reference n-gram: one
+    occurring once in the reference matches once if the hypothesis contains
+    it, and one occurring c times matches as often as it occurs in the
+    hypothesis, overlapping occurrences included, up to c (``str.count``
+    skips overlaps, so it would undercount).  That is one C-level substring
+    search per reference n-gram, at most c for a repeated one, and no
+    hypothesis n-gram objects.  ``grams`` is ``reference_grams(reference)``
+    when the caller has already built it.
     """
-    if reference_grams is None:
-        reference_grams = ngram_counts(reference)
-    hypothesis_grams = ngram_counts(hypothesis)
-    matched = [0] * len(CHRF_ORDERS)
-    for gram in reference_grams.keys() & hypothesis_grams.keys():
-        matched[len(gram) - 1] += min(reference_grams[gram], hypothesis_grams[gram])
+    if grams is None:
+        grams = reference_grams(reference)
+    contains = hypothesis.__contains__
+    find = hypothesis.find
+    matched = []
+    for once, repeated in grams:
+        hits = sum(map(contains, once))
+        for gram, count in repeated:
+            found = 0
+            at = find(gram)
+            while at >= 0:
+                found += 1
+                if found == count:
+                    break
+                at = find(gram, at + 1)
+            hits += found
+        matched.append(hits)
     hyp_totals = [max(0, len(hypothesis) - n + 1) for n in CHRF_ORDERS]
     ref_totals = [max(0, len(reference) - n + 1) for n in CHRF_ORDERS]
     return matched, hyp_totals, ref_totals
@@ -111,13 +150,21 @@ def _match_counts(gold: Sequence[Constraint], extracted: Sequence[Constraint]) -
 
     Each is a maximum matching under key equality, which is the clipped
     multiset overlap of the keys: (variable, value) for variables, the
-    normalized time condition for conditions.
+    normalized time condition for conditions.  Each gold key that is still
+    among the extracted keys takes one of them out.
     """
-    variables = Counter((c.variable, c.value) for c in gold) & Counter(
-        (c.variable, c.value) for c in extracted
-    )
-    conditions = Counter(c.condition for c in gold) & Counter(c.condition for c in extracted)
-    return sum(variables.values()), sum(conditions.values())
+    variables = [(c.variable, c.value) for c in extracted]
+    conditions = [c.condition for c in extracted]
+    matched_variables = matched_conditions = 0
+    for c in gold:
+        key = (c.variable, c.value)
+        if key in variables:
+            variables.remove(key)
+            matched_variables += 1
+        if c.condition in conditions:
+            conditions.remove(c.condition)
+            matched_conditions += 1
+    return matched_variables, matched_conditions
 
 
 def _mean_ratio(pairs: Iterable[tuple[int, int]]) -> float:
@@ -227,17 +274,18 @@ def evaluate_run(
         scored.setdefault(shot, {})[record_id] = None
 
     # Record by record, so each gold reference is rendered and counted once.
+    # shot -> running per-order (matched, hypothesis total, reference total) sums
     pooled = {shot: [[0] * len(CHRF_ORDERS) for _ in range(3)] for shot in scored}
     for record_id, shot_responses in responses.items():
         record = by_id[record_id]
         reference = strip_whitespace(gold_reference_string(record))
-        reference_grams = ngram_counts(reference)
+        grams = reference_grams(reference)
         for shot, response in shot_responses.items():
             constraints, issues = extract_constraints(response)
-            counts = chrf_counts(reference, strip_whitespace(response), reference_grams)
-            pooled[shot] = [
-                [a + b for a, b in zip(pool, part)] for pool, part in zip(pooled[shot], counts)
-            ]
+            counts = chrf_counts(reference, strip_whitespace(response), grams)
+            if corpus_chrf:
+                for pool, part in zip(pooled[shot], counts):
+                    pool[:] = map(add, pool, part)
             matched_variables, matched_conditions = _match_counts(record.constraints, constraints)
             scored[shot][record_id] = UtteranceScore(
                 record_id=record_id,

@@ -22,7 +22,9 @@ from itertools import accumulate
 from pathlib import Path
 
 from .constraints import Constraint
-from .errors import Pref2ConstraintError, int_field, json_number, read_json_object
+from .errors import (
+    Pref2ConstraintError, array_field, int_field, json_number, object_field, read_json_object
+)
 from .grounding import ConflictError, GroundedAssignment, Horizon, ground, merge
 
 
@@ -73,24 +75,28 @@ class ScheduleProblem:
     @classmethod
     def from_dict(cls, data: dict) -> "ScheduleProblem":
         horizon = Horizon(int_field(data, "slot_minutes"))
+        appliance_data = object_field(data, "appliance")
         appliance = Appliance(
-            power_kw=json_number(data["appliance"]["power_kw"], "'power_kw' must be a number"),
-            duration_slots=int_field(data["appliance"], "duration_slots"),
-            contiguous=data["appliance"].get("contiguous", True),
+            power_kw=json_number(appliance_data["power_kw"], "'power_kw' must be a number"),
+            duration_slots=int_field(appliance_data, "duration_slots"),
+            contiguous=appliance_data.get("contiguous", True),
         )
         if not isinstance(appliance.contiguous, bool):
             raise TypeError(
                 f"'contiguous' must be true or false, got {json.dumps(appliance.contiguous)}"
             )
         if "forced" in data and data["forced"] is not None:
-            forced = GroundedAssignment.from_dict(data["forced"])
+            forced = GroundedAssignment.from_dict(object_field(data, "forced"))
         else:
             forced = GroundedAssignment(horizon)
         return cls(
             horizon=horizon,
-            pv=tuple(json_number(v, "'pv' entries must be numbers") for v in data["pv"]),
+            pv=tuple(
+                json_number(v, "'pv' entries must be numbers") for v in array_field(data, "pv")
+            ),
             base_load=tuple(
-                json_number(v, "'base_load' entries must be numbers") for v in data["base_load"]
+                json_number(v, "'base_load' entries must be numbers")
+                for v in array_field(data, "base_load")
             ),
             appliance=appliance,
             forced=forced,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def chrf_counts_oracle(
@@ -50,6 +50,32 @@ def chrf_oracle(reference: str, hypothesis: str, beta: float = 1.0, max_n: int =
     if chr_p == 0.0 and chr_r == 0.0:
         return 0.0
     return 100.0 * (1 + beta**2) * chr_p * chr_r / (chr_r + beta**2 * chr_p)
+
+
+def match_counts_oracle(gold, extracted) -> tuple[int, int]:
+    """(matched variables, matched conditions) by brute-force maximum matching.
+
+    Pads the shorter side with None and tries every permutation of the
+    extracted side against the gold side, counting the pairs whose keys are
+    equal: (variable, value) for variables, the time condition for
+    conditions.  Meant for at most 4 constraints a side.
+    """
+    size = max(len(gold), len(extracted))
+    gold_side = list(gold) + [None] * (size - len(gold))
+    extracted_side = list(extracted) + [None] * (size - len(extracted))
+    best_variables = best_conditions = 0
+    for order in permutations(extracted_side):
+        variables = conditions = 0
+        for g, e in zip(gold_side, order):
+            if g is None or e is None:
+                continue
+            if g.variable == e.variable and g.value == e.value:
+                variables += 1
+            if g.condition == e.condition:
+                conditions += 1
+        best_variables = max(best_variables, variables)
+        best_conditions = max(best_conditions, conditions)
+    return best_variables, best_conditions
 
 
 def draw_oracle(dataset, target_id: str, k: int, seed: int, draws: int = 512) -> list[str]:
@@ -142,10 +168,10 @@ def schedule_oracle(problem):
 
     Considers all contiguous windows (or all slot combinations for a
     non-contiguous appliance), filters by the forced slots with explicit
-    per-slot checks, scores exactly in Fraction with a separate energy
-    loop, and breaks exact ties toward the lexicographically smallest
-    sorted slot list.  Returns None when nothing is admissible, else the
-    slots and their exact score.
+    per-slot checks, scores exactly in Fraction with a separate per-slot
+    loop over each slot's on and off value, and breaks exact ties toward
+    the lexicographically smallest sorted slot list.  Returns None when
+    nothing is admissible, else the slots and their exact score.
     """
     n = problem.horizon.num_slots
     duration = problem.appliance.duration_slots
@@ -160,7 +186,11 @@ def schedule_oracle(problem):
     else:
         candidates = [list(combo) for combo in combinations(range(n), duration)]
 
-    def admissible(slots: list[int]) -> bool:
+    # Each slot's exact self-consumption with the appliance on, and with it off.
+    on = [min(p, b + appliance_kwh) for p, b in zip(pv, base_load)]
+    off = [min(p, b) for p, b in zip(pv, base_load)]
+
+    def admissible(slots: set[int]) -> bool:
         for slot in range(n):
             forced = problem.forced.state[slot]
             if forced == 1 and slot not in slots:
@@ -169,23 +199,21 @@ def schedule_oracle(problem):
                 return False
         return True
 
-    def score(slots: list[int]) -> Fraction:
+    def score(slots: set[int]) -> Fraction:
         total = Fraction(0)
         for slot in range(n):
-            used = base_load[slot]
-            if slot in slots:
-                used += appliance_kwh
-            total += min(pv[slot], used)
+            total += on[slot] if slot in slots else off[slot]
         return total
 
     best = None
     best_score = None
-    for slots in candidates:
+    for candidate in candidates:
+        slots = set(candidate)
         if not admissible(slots):
             continue
         value = score(slots)
-        if best is None or value > best_score or (value == best_score and slots < best):
-            best = slots
+        if best is None or value > best_score or (value == best_score and candidate < best):
+            best = candidate
             best_score = value
     if best is None:
         return None

@@ -212,6 +212,35 @@ class TestRunAndEval:
         gold = ("--gold", str(pilot_corpus_path()))
         assert run_cli(capsys, "eval", "--outputs", str(outputs), *gold)[0] == 0
 
+    def test_eval_finds_the_corpus_from_another_directory(self, capsys, tmp_path, monkeypatch):
+        work = tmp_path / "work"
+        work.mkdir()
+        self.pilot_copy(work)
+        monkeypatch.chdir(work)
+        run = ("run", "--data", "corpus.jsonl", "--out", "sub/r.jsonl", "--shots", "0s")
+        assert run_cli(capsys, *run)[0] == 0
+        here = run_cli(capsys, "eval", "--outputs", "sub/r.jsonl", "--json")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "eval", "--outputs", "work/sub/r.jsonl", "--json")
+        assert (code, out, err) == here and code == 0
+
+    def test_eval_reads_a_corpus_path_written_relative_to_where_run_ran(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        data = self.pilot_copy(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        outputs = tmp_path / "sub" / "r.jsonl"
+        assert run_cli(capsys, "run", "--data", "corpus.jsonl", "--out", str(outputs))[0] == 0
+        manifest = manifest_path_for(outputs)
+        payload = json.loads(manifest.read_text("utf-8"))
+        manifest.write_text(json.dumps({**payload, "dataset_path": "corpus.jsonl"}), "utf-8")
+        # The folder-relative candidate exists but is another corpus, so its hash rules it out.
+        (outputs.parent / "corpus.jsonl").write_bytes(data.read_bytes() + b"\n")
+        code, out, err = run_cli(capsys, "eval", "--outputs", str(outputs), "--json")
+        assert code == 0, err
+        named = run_cli(capsys, "eval", "--outputs", str(outputs), "--json", "--gold", str(data))
+        assert (code, out, err) == named
+
     def test_eval_without_a_manifest_scores_against_the_pilot(self, capsys, tmp_path):
         outputs = tmp_path / "run.jsonl"
         assert run_cli(capsys, "run", "--out", str(outputs), "--shots", "0s")[0] == 0
@@ -309,6 +338,32 @@ class TestRunAndEval:
         assert code == 1 and out == ""
         assert err == (
             f"CorruptManifestError: {manifest_path_for(outputs)}: missing field 'dataset_path'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["eval", "run"])
+    def test_outputs_line_that_is_not_an_object_is_one_line_error(self, capsys, tmp_path, command):
+        outputs = tmp_path / "r.jsonl"
+        good = {"record_id": "u01", "shot": "0s", "prompt_digest": "x", "response_text": "y"}
+        outputs.write_text(json.dumps(good) + "\n\n\n5\n", "utf-8")
+        flag = "--outputs" if command == "eval" else "--out"
+        code, out, err = run_cli(capsys, command, flag, str(outputs))
+        assert (code, out, err) == (
+            1, "", "CorruptOutputsError: line 4: expected a JSON object, got 5\n"
+        )
+
+    @pytest.mark.parametrize("command", ["eval", "run"])
+    def test_manifest_decoding_that_is_not_an_object_is_one_line_error(
+        self, capsys, tmp_path, command
+    ):
+        outputs = tmp_path / "r.jsonl"
+        assert run_cli(capsys, "run", "--out", str(outputs), "--shots", "0s")[0] == 0
+        manifest = manifest_path_for(outputs)
+        payload = json.loads(manifest.read_text("utf-8"))
+        manifest.write_text(json.dumps({**payload, "decoding": [1]}), "utf-8")
+        flag = "--outputs" if command == "eval" else "--out"
+        code, out, err = run_cli(capsys, command, flag, str(outputs))
+        assert (code, out, err) == (
+            1, "", f"CorruptManifestError: {manifest}: 'decoding' must be an object, got [1]\n"
         )
 
     @pytest.mark.parametrize(
@@ -476,6 +531,37 @@ class TestScheduleCommands:
         code, out, err = run_cli(capsys, command, "--problem", str(problem_file), *gold)
         assert code == 1 and out == ""
         assert err == f"SchedulerError: {problem_file}: {named}\n"
+
+    @pytest.mark.parametrize("command", ["schedule", "check-functional"])
+    @pytest.mark.parametrize(
+        "change,named",
+        [
+            ({"appliance": [2.0]}, "'appliance' must be an object, got [2.0]"),
+            ({"forced": [1]}, "'forced' must be an object, got [1]"),
+            ({"pv": None}, "'pv' must be an array, got null"),
+            ({"base_load": "0.0"}, "'base_load' must be an array, got \"0.0\""),
+            (
+                {"forced": {"slot_minutes": 60, "state": 1, "temperature": [None] * 24}},
+                "'state' must be an array, got 1",
+            ),
+            (
+                {"forced": {"slot_minutes": 60, "state": [None] * 24, "temperature": None}},
+                "'temperature' must be an array, got null",
+            ),
+        ],
+        ids=[
+            "appliance-array", "forced-array", "pv-null", "base-load-string", "state-number",
+            "temperature-null",
+        ],
+    )
+    def test_type_swapped_nested_field_is_one_line_error(
+        self, capsys, problem_file, command, change, named
+    ):
+        payload = json.loads(problem_file.read_text("utf-8"))
+        problem_file.write_text(json.dumps({**payload, **change}), "utf-8")
+        gold = ("--gold", "s_t = 1 ∀ t") if command == "check-functional" else ()
+        code, out, err = run_cli(capsys, command, "--problem", str(problem_file), *gold)
+        assert (code, out, err) == (1, "", f"SchedulerError: {problem_file}: {named}\n")
 
     @pytest.mark.parametrize("command", ["schedule", "check-functional"])
     @pytest.mark.parametrize(

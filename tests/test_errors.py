@@ -3,7 +3,14 @@ import json
 import pytest
 
 from pref2constraint.dataset import SchemaError, load_dataset
-from pref2constraint.errors import LineError, Pref2ConstraintError, json_lines, read_json_object
+from pref2constraint.errors import (
+    LineError,
+    Pref2ConstraintError,
+    array_field,
+    json_lines,
+    object_field,
+    read_json_object,
+)
 from pref2constraint.llm import (
     ConfigError,
     CorruptManifestError,
@@ -110,6 +117,36 @@ class TestReadJsonObject:
     def test_an_unreadable_file_is_left_to_the_caller(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_json_object(tmp_path / "absent.json", ConfigError, dict)
+
+
+class TestTypedFields:
+    def test_a_field_of_the_right_type_is_returned(self):
+        data = {"a": {"x": 1}, "b": [1, None]}
+        assert object_field(data, "a") == {"x": 1}
+        assert array_field(data, "b") == [1, None]
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            (object_field, [2.0], "'f' must be an object, got [2.0]"),
+            (object_field, None, "'f' must be an object, got null"),
+            (object_field, "{}", "'f' must be an object, got \"{}\""),
+            (array_field, None, "'f' must be an array, got null"),
+            (array_field, {"a": 1}, "'f' must be an array, got {\"a\": 1}"),
+            (array_field, "ab", "'f' must be an array, got \"ab\""),
+        ],
+        ids=["object-array", "object-null", "object-string", "array-null", "array-object",
+             "array-string"],
+    )
+    def test_a_field_of_another_type_is_a_type_error_naming_it(self, field, value, message):
+        with pytest.raises(TypeError) as excinfo:
+            field({"f": value}, "f")
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("field", [object_field, array_field], ids=lambda f: f.__name__)
+    def test_a_missing_field_is_a_key_error(self, field):
+        with pytest.raises(KeyError):
+            field({}, "f")
 
 
 READERS = [

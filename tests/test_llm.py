@@ -473,6 +473,19 @@ class TestRunExperiment:
         assert summary.skipped == 26 and summary.completed == 0
         assert manifest_path_for(outputs).read_bytes() == first
 
+    def test_manifest_records_a_relative_corpus_from_its_own_folder(
+        self, pilot_records, tmp_path, monkeypatch
+    ):
+        (tmp_path / "pilot.jsonl").write_bytes(pilot_corpus_path().read_bytes())
+        monkeypatch.chdir(tmp_path)
+        manifest = RunManifest.create("pilot.jsonl", "it", ("0s",), "mock-model")
+        outputs = Path("sub") / "run.jsonl"
+        run_experiment(manifest, pilot_records, shipped_mock_backend(), outputs)
+        written = json.loads(manifest_path_for(outputs).read_text("utf-8"))
+        expected = {**manifest.to_dict(), "dataset_path": os.path.join("..", "pilot.jsonl")}
+        assert written == json.loads(json.dumps(expected))
+        assert manifest.dataset_path == "pilot.jsonl"
+
     def test_manifest_file_bytes(self, pilot_records, tmp_path, monkeypatch):
         (tmp_path / "pilot.jsonl").write_bytes(pilot_corpus_path().read_bytes())
         monkeypatch.chdir(tmp_path)

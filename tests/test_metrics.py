@@ -16,18 +16,20 @@ from pref2constraint.metrics import (
     CorruptOutputsError,
     TABLE_COLUMNS,
     _combine,
+    _match_counts,
     acc_conditions,
     acc_variables,
     chrf,
     chrf_counts,
     evaluate_run,
     gold_reference_string,
+    reference_grams,
     render_table,
     reports_to_json,
 )
 from pref2constraint.prompting import SHOT_LABELS
 
-from oracles import chrf_counts_oracle, chrf_oracle
+from oracles import chrf_counts_oracle, chrf_oracle, match_counts_oracle
 from reference_rows import REFERENCE_BASELINE_ROWS
 
 
@@ -83,8 +85,28 @@ class TestChrf:
     @example("∀", "")
     @example("è", "è")
     @example("aaaa", "aa")
+    # Overlapping occurrences, where str.count undercounts the hypothesis side.
+    @example("aaaa", "aaa")
+    @example("abababab", "ababa")
+    @example("aaa∀aaa", "aaaa")
     def test_counts_equal_oracle_property(self, a, b):
         assert chrf_counts(a, b) == chrf_counts_oracle(a, b)
+        assert chrf_counts(a, b) == chrf_counts(a, b, reference_grams(a))
+
+    def test_counts_equal_oracle_on_long_hypotheses(self):
+        rng = random.Random(16)
+        for _ in range(40):
+            reference = "".join(rng.choice("abc") for _ in range(rng.randrange(1, 60)))
+            hypothesis = "".join(rng.choice("abc") for _ in range(rng.randrange(200, 401)))
+            assert chrf_counts(reference, hypothesis) == chrf_counts_oracle(reference, hypothesis)
+
+    def test_reference_grams_split_once_from_repeated(self):
+        grams = reference_grams("abab")
+        assert len(grams) == 6
+        assert grams[0] == ([], [("a", 2), ("b", 2)])
+        assert grams[1] == (["ba"], [("ab", 2)])
+        assert grams[3] == (["abab"], [])
+        assert grams[4] == grams[5] == ([], [])
 
     def test_score_range(self):
         rng = random.Random(11)
@@ -101,6 +123,25 @@ GOLD = [
 
 
 class TestAccuracies:
+    POOL = (
+        "s_t = 1 ∀ t",
+        "s_t = 0 ∀ t",
+        "h_t = 21 ∀ t",
+        "s_t = 1 ∀ 07:00 ≤ t ≤ 08:30",
+        "h_t = 21 ∀ 07:00 ≤ t ≤ 08:30",
+        "s_t = 0 ∀ t ≤ 06:00",
+        "h_t = 19 ∀ t ≥ 22:00",
+        "s_t = 1 ∀ t ≥ 22:00",
+    )
+
+    def test_match_counts_equal_brute_force_matching(self):
+        rng = random.Random(16)
+        pool = [parse_constraint(text) for text in self.POOL]
+        for _ in range(400):
+            gold = [rng.choice(pool) for _ in range(rng.randrange(5))]
+            extracted = [rng.choice(pool) for _ in range(rng.randrange(5))]
+            assert _match_counts(gold, extracted) == match_counts_oracle(gold, extracted)
+
     def test_perfect_parse_scores_1(self):
         parsed = {r.id: list(r.constraints) for r in GOLD}
         assert acc_variables(GOLD, parsed) == 1.0
