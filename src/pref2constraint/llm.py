@@ -7,9 +7,12 @@ bit-reproducible, and doubles as a golden-prompt tripwire: any prompt
 drift shows up as a missing fixture digest.
 
 ``run_experiment`` walks dataset × shot settings, appends one JSONL line
-per completion ({record_id, shot, prompt_digest, response_text}), skips
-pairs already present in the outputs file, and keeps a manifest next to
-the outputs.  A failed completion is recorded and skipped; it never aborts
+per completion ({record_id, shot, prompt_digest, response_text}) as soon
+as it returns, skips pairs already present in the outputs file, and keeps
+a manifest next to the outputs.  Until the run ends the lines are in
+completion order, so a killed run keeps every finished line; a run that
+ends puts the file in canonical order (corpus record order, then manifest
+shot order).  A failed completion is recorded and skipped; it never aborts
 the remaining items.  Resume and evaluation read the run back through
 ``parse_outputs`` (evaluation by way of ``read_outputs``) and
 ``read_manifest``: only this module knows its format.
@@ -18,30 +21,30 @@ the remaining items.  Resume and evaluation read the run back through
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import math
 import os
+import queue
+import threading
 import time
-import urllib.error
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import BinaryIO, Callable, Iterable, Protocol
 
 from .dataset import GoldRecord
 from .errors import (
     LineError, Pref2ConstraintError, int_field, json_lines, json_number, object_field,
     read_json_object, str_field,
 )
-from .prompting import MAX_FEW_SHOT, ExamplePool, PromptSpec, ShotSetting, build_prompt, get_template
+from .prompting import (
+    MAX_FEW_SHOT, ExamplePool, PromptMemo, PromptSpec, ShotSetting, build_prompt, get_template,
+)
 # Not called here: perfbench/tracing.py wraps llm.select_examples by name.
 from .prompting import select_examples  # noqa: F401
 
 
-DEFAULT_CONCURRENCY = 4  # completion requests in flight in run_experiment
+DEFAULT_CONCURRENCY = 4  # threads completing requests in run_experiment, the calling one included
 RETRY_WAITS_S = (0.5, 1.0, 2.0)  # pause before each retry of a transient failure
 REQUEST_TIMEOUT_S = 60.0  # per remote completion request
 
@@ -172,6 +175,12 @@ class OpenAICompatBackend:
         self.api_key = api_key
 
     def send(self, request: CompletionRequest) -> ModelResponse:
+        # Imported here: the HTTP stack (ssl included) costs start-up time and memory
+        # that every command but a remote run would pay for nothing.
+        import http.client
+        import urllib.error
+        import urllib.request
+
         payload = {
             "model": request.model_id,
             "messages": [{"role": "user", "content": request.prompt}],
@@ -387,22 +396,107 @@ def read_outputs(outputs_path: str | Path) -> dict[tuple[str, str], tuple[int, s
     return parse_outputs(lines)
 
 
-def _resume(outputs_path: Path) -> tuple[set[tuple[str, str]], str]:
-    """Pairs already in the outputs file, and the torn last line cut from it.
+def _resume(outputs_path: Path) -> tuple[dict[tuple[str, str], bytes], str]:
+    """{(record_id, shot): line} already in the outputs file, in file order, and
+    the torn last line cut from it.
 
     A run killed mid-write leaves an unterminated last line.  Once the lines
     before it parse, it is cut off, so its pair is completed again and new
     lines are not appended to the fragment.
     """
     if not outputs_path.exists():
-        return set(), ""
+        return {}, ""
     with open(outputs_path, "rb+") as handle:
         lines = handle.readlines()
         torn = lines.pop() if lines and not lines[-1].endswith(b"\n") else b""
-        done = set(parse_outputs(lines))
+        done = {pair: lines[number - 1] for pair, (number, _) in parse_outputs(lines).items()}
         if torn:
             handle.truncate(handle.tell() - len(torn))
     return done, torn.decode("utf-8", errors="replace")
+
+
+Rank = tuple[int, int]  # (record position in the corpus, shot position in the manifest)
+
+
+def _complete_all(
+    work: list[tuple[Rank, str, str, str]],
+    manifest: RunManifest,
+    backend: Backend,
+    out: BinaryIO,
+    concurrency: int,
+) -> tuple[list[tuple[Rank, bytes]], list[tuple[Rank, RunFailure]]]:
+    """Complete each (rank, record_id, shot, prompt) item and append its line to ``out``.
+
+    The calling thread and up to ``concurrency - 1`` helper threads each take
+    the next item from one shared iterator, complete it and queue its line.
+    A worker that then gets the write lock without waiting writes and flushes
+    every queued line, so a finished line waits on no other request.  Returns
+    the (rank, line) pairs in the order written and the (rank, failure) pairs
+    of the items whose completion raised a ``BackendError``.  Any other
+    exception, ``KeyboardInterrupt`` included, stops every worker from taking
+    another item, and is raised once they have all returned.
+    """
+    items = iter(work)
+    take, write = threading.Lock(), threading.Lock()
+    finished: queue.SimpleQueue[tuple[Rank, bytes]] = queue.SimpleQueue()
+    written: list[tuple[Rank, bytes]] = []
+    failures: list[tuple[Rank, RunFailure]] = []
+    errors: list[BaseException] = []
+    stop = threading.Event()
+
+    def write_finished() -> None:
+        # The queue is checked again after each release: a line queued while another
+        # worker held the lock found it taken, so it is written on the next pass.
+        while not finished.empty() and write.acquire(blocking=False):
+            try:
+                batch = []
+                while not finished.empty():  # only the lock holder takes from the queue
+                    batch.append(finished.get())
+                out.write(b"".join(line for _, line in batch))
+                out.flush()
+                written.extend(batch)
+            finally:
+                write.release()
+
+    def work_loop() -> None:
+        try:
+            while not stop.is_set():
+                with take:
+                    item = next(items, None)
+                if item is None:
+                    return
+                rank, record_id, shot, prompt = item
+                request = CompletionRequest(prompt, manifest.model_id, manifest.decoding)
+                try:
+                    text = complete(backend, request).text
+                except BackendError as exc:
+                    failures.append((rank, RunFailure(record_id, shot, str(exc))))
+                    continue
+                line = {
+                    "record_id": record_id,
+                    "shot": shot,
+                    "prompt_digest": prompt_digest(prompt),
+                    "response_text": text,
+                }
+                finished.put((rank, (json.dumps(line, ensure_ascii=False) + "\n").encode("utf-8")))
+                write_finished()
+        except BaseException as exc:  # raised by the calling thread once every worker returned
+            stop.set()
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=work_loop) for _ in range(min(concurrency, len(work)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work_loop()
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    write_finished()  # a line queued by a worker stopped before it could write
+    if errors:
+        raise errors[0]
+    return written, failures
 
 
 def run_experiment(
@@ -414,9 +508,14 @@ def run_experiment(
 ) -> RunSummary:
     """Complete every (record, shot) pair not yet in the outputs file.
 
-    Requests may run concurrently, but lines are written in deterministic
-    (record, shot) order by a single writer, so reruns with the mock
-    backend are byte-reproducible; each line is flushed as it is written.
+    ``concurrency`` threads, the calling one included, send requests.  Each
+    line is appended and flushed as its completion returns, so until the run
+    ends the lines are in completion order and a killed run keeps every
+    finished line.  A run that ends rewrites the file once, through a
+    temporary file beside it, if its lines (earlier runs' included) are not
+    in canonical order: corpus record order, then manifest shot order.  So
+    reruns with the mock backend are byte-reproducible at any concurrency,
+    and a resumed run ends with the bytes of a clean one.
     A manifest already next to the outputs must equal ``manifest`` but for
     its timestamp and dataset path (the dataset is compared by SHA-256), and
     is kept; otherwise ``manifest`` is written first, a relative dataset path
@@ -450,22 +549,16 @@ def run_experiment(
     done, dropped_tail = _resume(outputs_path)
     summary = RunSummary(skipped=len(done), dropped_tail=dropped_tail)
 
-    work: list[tuple[str, str, str]] = []  # (record_id, shot label, prompt)
-    for record in records:
-        pending = [shot for shot in shots if (record.id, shot.label) not in done]
+    memo = PromptMemo()  # each example block and tagged target is rendered once per run
+    work: list[tuple[Rank, str, str, str]] = []  # (rank, record_id, shot label, prompt)
+    for position, record in enumerate(records):
+        pending = [(i, shot) for i, shot in enumerate(shots) if (record.id, shot.label) not in done]
         # One draw per record: a shot's examples are a prefix of the longest list.
-        drawn = examples.select(record.id, max((s.n_examples for s in pending), default=0))
-        for shot in pending:
+        drawn = examples.select(record.id, max((s.n_examples for _, s in pending), default=0))
+        for i, shot in pending:
             spec = PromptSpec(manifest.template_id, shot, tuple(drawn[: shot.n_examples]), record)
             chosen = [examples.records[example_id] for example_id in spec.example_ids]
-            work.append((record.id, shot.label, build_prompt(spec, chosen)))
-
-    def run_one(item: tuple[str, str, str]) -> ModelResponse | BackendError:
-        request = CompletionRequest(item[2], manifest.model_id, manifest.decoding)
-        try:
-            return complete(backend, request)
-        except BackendError as exc:
-            return exc
+            work.append(((position, i), record.id, shot.label, build_prompt(spec, chosen, memo=memo)))
 
     outputs_path.parent.mkdir(parents=True, exist_ok=True)
     if existing is None:
@@ -476,20 +569,24 @@ def run_experiment(
         with open(manifest_file, "w", encoding="utf-8") as handle:
             json.dump(written, handle, ensure_ascii=False, indent=2)
             handle.write("\n")
-    with open(outputs_path, "a", encoding="utf-8") as out, ThreadPoolExecutor(
-        max_workers=concurrency
-    ) as pool:
-        for (record_id, shot_label, prompt), result in zip(work, pool.map(run_one, work)):
-            if isinstance(result, BackendError):
-                summary.failures.append(RunFailure(record_id, shot_label, str(result)))
-                continue
-            line = {
-                "record_id": record_id,
-                "shot": shot_label,
-                "prompt_digest": prompt_digest(prompt),
-                "response_text": result.text,
-            }
-            out.write(json.dumps(line, ensure_ascii=False) + "\n")
-            out.flush()
-            summary.completed += 1
+    with open(outputs_path, "ab") as out:
+        appended, failures = _complete_all(work, manifest, backend, out, concurrency)
+    summary.completed = len(appended)
+    summary.failures = [failure for _, failure in sorted(failures, key=lambda pair: pair[0])]
+
+    # A line of a pair outside the corpus or the shots (only an earlier run can leave
+    # one) ranks after every other, in file order.
+    record_rank = {record.id: i for i, record in enumerate(records)}
+    shot_rank = {shot.label: i for i, shot in enumerate(shots)}
+    rows = [
+        ((record_rank.get(record_id, len(records)), shot_rank.get(shot, len(shots))), line)
+        for (record_id, shot), line in done.items()
+    ] + appended
+    if any(before[0] > after[0] for before, after in zip(rows, rows[1:])):
+        rows.sort(key=lambda row: row[0])
+        # A kill before the replace leaves the outputs file as it was.
+        temporary = outputs_path.with_name(outputs_path.name + ".tmp")
+        with open(temporary, "wb") as handle:
+            handle.writelines(line for _, line in rows)
+        os.replace(temporary, outputs_path)
     return summary

@@ -118,28 +118,55 @@ def get_template(template_id: str) -> PromptTemplate:
     )
 
 
-def _example_block(template: PromptTemplate, record: GoldRecord) -> str:
-    lines = [f"{template.example_label} {tag_utterance(record)}", template.constraints_label]
-    lines.extend(render_constraint(c) for c in record.constraints)
-    return "\n".join(lines)
+class PromptMemo:
+    """Prompt pieces rendered once and reused by later prompts of one run.
+
+    It keeps each record's tagged utterance and example block by record id,
+    so it is right only while every id names one record: build one per run
+    and drop it with the run.
+    """
+
+    def __init__(self) -> None:
+        self._tagged: dict[str, str] = {}  # record id -> tag_utterance(record)
+        self._blocks: dict[tuple[str, str], str] = {}  # (template id, record id) -> block
+
+    def tagged(self, record: GoldRecord) -> str:
+        if record.id not in self._tagged:
+            self._tagged[record.id] = tag_utterance(record)
+        return self._tagged[record.id]
+
+    def example_block(self, template_id: str, record: GoldRecord) -> str:
+        key = template_id, record.id
+        if key not in self._blocks:
+            template = get_template(template_id)
+            lines = [f"{template.example_label} {self.tagged(record)}", template.constraints_label]
+            lines.extend(render_constraint(c) for c in record.constraints)
+            self._blocks[key] = "\n".join(lines)
+        return self._blocks[key]
 
 
-def build_prompt(spec: PromptSpec, dataset: list[GoldRecord]) -> str:
-    """Assemble the prompt for a spec; identical inputs give identical bytes."""
+def build_prompt(
+    spec: PromptSpec, dataset: list[GoldRecord], *, memo: PromptMemo | None = None
+) -> str:
+    """Assemble the prompt for a spec; identical inputs give identical bytes.
+
+    ``memo`` holds the pieces that earlier prompts of the same run rendered.
+    """
     template = get_template(spec.template_id)
+    memo = PromptMemo() if memo is None else memo
     by_id = {record.id: record for record in dataset}
-    examples = []
+    blocks = []
     for example_id in spec.example_ids:
         if example_id not in by_id:
             raise UnknownExampleError(f"example id {example_id!r} not in dataset")
-        examples.append(by_id[example_id])
-    if examples:
-        old, new = EXAMPLES, "\n\n".join(_example_block(template, r) for r in examples)
+        blocks.append(memo.example_block(spec.template_id, by_id[example_id]))
+    if blocks:
+        old, new = EXAMPLES, "\n\n".join(blocks)
     else:  # drop the examples header, the placeholder and the blank line after them
         old, new = f"{template.examples_header}\n{EXAMPLES}\n\n", ""
     # Fill each piece between target placeholders, so no utterance is read as a placeholder.
     pieces = (piece.replace(old, new) for piece in template.text.split(TARGET))
-    return tag_utterance(spec.target).join(pieces)
+    return memo.tagged(spec.target).join(pieces)
 
 
 class ExamplePool:

@@ -5,6 +5,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from dataclasses import replace
@@ -312,7 +313,8 @@ class TestOpenAICompatBackend:
 def test_cli_import_loads_no_http_library():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, pref2constraint.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    http = "{'requests', 'urllib3', 'urllib.request', 'http.client', 'ssl'}"
+    probe = f"import sys, pref2constraint.cli; print(sorted({http} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
@@ -367,6 +369,30 @@ def pilot_manifest():
 
 def shipped_mock_backend():
     return MockBackend.from_file(mock_fixtures_path())
+
+
+def line_count(path):
+    return path.read_bytes().count(b"\n") if path.exists() else 0
+
+
+class GatedBackend:
+    """The shipped mock, but the first request waits until ``release`` is set."""
+
+    name = "gated"
+
+    def __init__(self):
+        self.release = threading.Event()
+        self._mock = shipped_mock_backend()
+        self._lock = threading.Lock()
+        self._sent = 0
+
+    def send(self, request):
+        with self._lock:
+            self._sent += 1
+            first = self._sent == 1
+        if first and not self.release.wait(60):
+            raise AssertionError("the first request was never released")
+        return self._mock.send(request)
 
 
 class TestRunExperiment:
@@ -433,8 +459,161 @@ class TestRunExperiment:
     def test_bit_reproducible(self, pilot_manifest, pilot_records, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), a, concurrency=1)
-        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), b, concurrency=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch as often as the interpreter allows
+        try:
+            summary = run_experiment(
+                pilot_manifest, pilot_records, shipped_mock_backend(), b, concurrency=8
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert summary.completed == 78 and not summary.failures
         assert a.read_bytes() == b.read_bytes()
+
+    def test_a_slow_request_holds_no_other_line_back(self, pilot_manifest, pilot_records, tmp_path):
+        clean = tmp_path / "clean.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), clean, concurrency=1)
+        outputs, backend, summaries = tmp_path / "run.jsonl", GatedBackend(), []
+        runner = threading.Thread(
+            target=lambda: summaries.append(
+                run_experiment(pilot_manifest, pilot_records, backend, outputs, concurrency=4)
+            )
+        )
+        runner.start()
+        try:
+            deadline = time.monotonic() + 10
+            while line_count(outputs) < 77 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            on_disk = line_count(outputs)
+        finally:
+            backend.release.set()
+            runner.join(60)
+        assert not runner.is_alive()
+        assert on_disk == 77
+        assert summaries[0].completed == 78
+        assert outputs.read_bytes() == clean.read_bytes()
+
+    def test_a_resumed_run_ends_with_the_bytes_of_a_clean_run(
+        self, pilot_manifest, pilot_records, tmp_path, monkeypatch
+    ):
+        clean = tmp_path / "clean.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), clean)
+        rows = [json.loads(line) for line in clean.read_text("utf-8").splitlines()]
+        mock = shipped_mock_backend()
+
+        class FailingSome:
+            """Fails the requests whose prompt digest starts with 0-4."""
+
+            name = "failing-some"
+
+            def send(self, request):
+                if prompt_digest(request.prompt) < "5":
+                    raise ServerError("backend failure (HTTP 503)")
+                return mock.send(request)
+
+        monkeypatch.setattr(llm, "RETRY_WAITS_S", ())  # a ServerError fails its pair at once
+        outputs = tmp_path / "run.jsonl"
+        first = run_experiment(pilot_manifest, pilot_records, FailingSome(), outputs)
+        failed = [(row["record_id"], row["shot"]) for row in rows if row["prompt_digest"] < "5"]
+        assert failed and [(f.record_id, f.shot) for f in first.failures] == failed
+        assert first.completed == 78 - len(failed)
+        resumed = run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert resumed.skipped == first.completed and resumed.completed == len(failed)
+        assert outputs.read_bytes() == clean.read_bytes()
+
+    @pytest.mark.parametrize(
+        "crash", [RuntimeError("backend bug"), KeyboardInterrupt()], ids=["error", "interrupt"]
+    )
+    def test_a_crash_stops_the_run(self, pilot_manifest, pilot_records, tmp_path, crash):
+        mock = shipped_mock_backend()
+
+        class CrashingThird:
+            """Raises ``crash`` from the third request; counts the requests sent after it."""
+
+            name = "crashing"
+
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.sent = self.sent_after = self.returned = 0
+
+            def send(self, request):
+                with self.lock:
+                    self.sent += 1
+                    if self.sent == 3:
+                        raise crash
+                    self.sent_after += self.sent > 3
+                time.sleep(0.02)  # the crashing worker runs meanwhile, so it stops the run at once
+                response = mock.send(request)
+                with self.lock:
+                    self.returned += 1
+                return response
+
+        threads = set(threading.enumerate())
+        backend, outputs = CrashingThird(), tmp_path / "run.jsonl"
+        with pytest.raises(type(crash)):
+            run_experiment(pilot_manifest, pilot_records, backend, outputs, concurrency=4)
+        assert backend.sent_after <= 3
+        assert set(threading.enumerate()) == threads
+        assert line_count(outputs) == backend.returned  # every finished line is on disk
+
+    def test_concurrency_one_starts_no_thread_and_never_rewrites(
+        self, pilot_manifest, pilot_records, tmp_path, monkeypatch
+    ):
+        mock, seen = shipped_mock_backend(), set()
+
+        class Watching:
+            name = "watching"
+
+            def send(self, request):
+                seen.add((threading.get_ident(), threading.active_count()))
+                return mock.send(request)
+
+        def refuse(*args):
+            raise AssertionError("os.replace called")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        expected = {(threading.get_ident(), threading.active_count())}
+        outputs = tmp_path / "run.jsonl"
+        summary = run_experiment(pilot_manifest, pilot_records, Watching(), outputs, concurrency=1)
+        assert summary.completed == 78 and seen == expected
+
+    def test_an_unfinished_rewrite_leaves_every_line_in_place(
+        self, pilot_manifest, pilot_records, tmp_path, monkeypatch
+    ):
+        clean = tmp_path / "clean.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), clean)
+        lines = clean.read_bytes().splitlines(keepends=True)
+        outputs = tmp_path / "run.jsonl"
+        outputs.write_bytes(b"".join(reversed(lines[1:])))  # an earlier run, out of order
+
+        def killed(*args):
+            raise OSError("killed before the replace")
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(OSError, match="killed before the replace"):
+            run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert outputs.read_bytes() == b"".join(reversed(lines[1:])) + lines[0]
+        monkeypatch.undo()
+        summary = run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert summary.skipped == 78 and summary.completed == 0
+        assert outputs.read_bytes() == clean.read_bytes()
+
+    def test_each_piece_of_a_prompt_is_rendered_once_per_run(
+        self, pilot_manifest, pilot_records, tmp_path, monkeypatch
+    ):
+        tagged = []
+        tag_utterance = prompting.tag_utterance
+
+        def counted(record):
+            tagged.append(record.id)
+            return tag_utterance(record)
+
+        monkeypatch.setattr(prompting, "tag_utterance", counted)
+        ids = sorted(record.id for record in pilot_records)
+        for name in ("a.jsonl", "b.jsonl"):  # no piece is kept from one run to the next
+            tagged.clear()
+            run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), tmp_path / name)
+            assert sorted(tagged) == ids
 
     @pytest.mark.parametrize(
         "change", [{"model_id": "other-model"}, {"seed": 7}], ids=["model_id", "seed"]

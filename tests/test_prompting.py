@@ -15,6 +15,7 @@ from pref2constraint.prompting import (
     ExamplePool,
     InsufficientDataError,
     LeakageError,
+    PromptMemo,
     PromptSpec,
     PromptingError,
     ShotSetting,
@@ -329,6 +330,42 @@ class TestExamplePool:
         for record in corpus:
             assert len(pool.select(record.id, 5)) == 5
         assert len(digests) <= 1.2 * 5 * len(corpus)
+
+
+class TestPromptMemo:
+    def test_each_piece_is_rendered_once_with_the_same_bytes(self, pilot_records, monkeypatch):
+        specs = [
+            spec_for(pilot_records, record.id, ShotSetting(n), template=template)
+            for template in TEMPLATE_IDS
+            for record in pilot_records
+            for n in (0, 1, MAX_FEW_SHOT)
+        ]
+        plain = [build_prompt(spec, pilot_records) for spec in specs]
+        tagged, rendered = Counter(), Counter()
+        tag_utterance, render_constraint = prompting.tag_utterance, prompting.render_constraint
+
+        def counted_tag(record):
+            tagged[record.id] += 1
+            return tag_utterance(record)
+
+        def counted_render(constraint):
+            rendered[constraint] += 1
+            return render_constraint(constraint)
+
+        monkeypatch.setattr(prompting, "tag_utterance", counted_tag)
+        monkeypatch.setattr(prompting, "render_constraint", counted_render)
+        memo = PromptMemo()
+        assert [build_prompt(spec, pilot_records, memo=memo) for spec in specs] == plain
+        assert tagged == Counter({record.id: 1 for record in pilot_records})
+        # One block per (template, example record): each gold constraint once per template.
+        examples = {
+            (spec.template_id, example_id) for spec in specs for example_id in spec.example_ids
+        }
+        by_id = {record.id: record for record in pilot_records}
+        expected = Counter(
+            constraint for _, example_id in examples for constraint in by_id[example_id].constraints
+        )
+        assert rendered == expected
 
 
 class TestGoldenPrompts:
