@@ -53,17 +53,25 @@ ENV_PREFIX = "PREF2CONSTRAINT"
 
 
 def _read_config_file(path: str | None) -> dict[str, str]:
+    """The ``key = value`` settings of a config file; a line that is none of them is refused."""
     if not path:
         return {}
     values: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as handle:
-            for raw in handle:
+            for line_number, raw in enumerate(handle, start=1):
                 line = raw.strip()
-                if not line or line.startswith("#") or "=" not in line:
+                if not line or line.startswith("#"):
                     continue
-                key, _, value = line.partition("=")
-                values[key.strip().lower()] = value.strip()
+                key, equals, value = (part.strip() for part in line.partition("="))
+                if not equals:
+                    raise ConfigError(f"{path}: line {line_number}: expected 'key = value'")
+                if key.lower() not in ("endpoint", "api_key", "model"):
+                    raise ConfigError(
+                        f"{path}: line {line_number}: unknown key {key!r} "
+                        "(expected endpoint, api_key or model)"
+                    )
+                values[key.lower()] = value
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     return values

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .constraints import Constraint, ConstraintError, parse_constraint
-from .errors import LineError, Pref2ConstraintError, json_lines
+from .errors import LineError, Pref2ConstraintError, json_lines, typed, typed_array
 
 SPAN_KINDS = ("time", "temperature")
 
@@ -70,61 +70,35 @@ class GoldRecord:
         }
 
 
-def _validate_spans(text: str, raw_spans: list, line_number: int) -> tuple[Span, ...]:
+def _spans(text: str, raw_spans: list[dict]) -> tuple[Span, ...]:
     spans = []
     for raw in raw_spans:
-        if not isinstance(raw, dict):
-            raise SchemaError("each span must be a JSON object", line_number)
-        missing = {"start", "end", "kind"} - set(raw)
-        if missing:
-            raise SchemaError(f"span missing field(s) {sorted(missing)}", line_number)
-        start, end, kind = raw["start"], raw["end"], raw["kind"]
-        if not (type(start) is int and type(end) is int):  # JSON integers, not booleans
-            raise SchemaError("span offsets must be integers", line_number)
+        start, end = typed(raw, "start", "integer"), typed(raw, "end", "integer")
+        kind = typed(raw, "kind", "string")
         if kind not in SPAN_KINDS:
-            raise SchemaError(f"span kind must be one of {SPAN_KINDS}, got {kind!r}", line_number)
+            raise ValueError(f"span kind must be one of {SPAN_KINDS}, got {kind!r}")
         if not 0 <= start < end <= len(text):
-            raise SchemaError(
-                f"span offsets [{start}, {end}) out of bounds for text of length {len(text)}",
-                line_number,
+            raise ValueError(
+                f"span offsets [{start}, {end}) out of bounds for text of length {len(text)}"
             )
         spans.append(Span(start, end, kind))
     ordered = sorted(spans, key=lambda s: s.start)
     for left, right in zip(ordered, ordered[1:]):
         if right.start < left.end:
-            raise SchemaError(
-                f"spans [{left.start}, {left.end}) and [{right.start}, {right.end}) overlap",
-                line_number,
+            raise ValueError(
+                f"spans [{left.start}, {left.end}) and [{right.start}, {right.end}) overlap"
             )
     return tuple(spans)
 
 
-def _record_from_dict(raw: object, line_number: int) -> GoldRecord:
-    if not isinstance(raw, dict):
-        raise SchemaError("a record must be a JSON object", line_number)
-    missing = {"id", "text", "spans", "constraints"} - set(raw)
-    if missing:
-        raise SchemaError(f"missing field(s) {sorted(missing)}", line_number)
-    record_id, text = raw["id"], raw["text"]
-    if not isinstance(record_id, str) or not isinstance(text, str):
-        raise SchemaError("'id' and 'text' must be strings", line_number)
-    if not isinstance(raw["spans"], list) or not isinstance(raw["constraints"], list):
-        raise SchemaError("'spans' and 'constraints' must be arrays", line_number)
-    spans = _validate_spans(text, raw["spans"], line_number)
-    constraint_texts = tuple(raw["constraints"])
-    if not all(isinstance(c, str) for c in constraint_texts):
-        raise SchemaError("each constraint must be a string", line_number)
+def _record_fields(raw: dict) -> tuple[str, str, tuple[Span, ...], tuple[str, ...]]:
+    """(id, text, spans, constraint texts) of a corpus line; the constraints are parsed later."""
+    record_id, text = typed(raw, "id", "string"), typed(raw, "text", "string")
+    spans = _spans(text, typed_array(raw, "spans", "object"))
+    constraint_texts = tuple(typed_array(raw, "constraints", "string"))
     if spans and not constraint_texts:
-        raise SchemaError("record with preference spans must carry at least one constraint", line_number)
-    constraints = []
-    for constraint_text in constraint_texts:
-        try:
-            constraints.append(parse_constraint(constraint_text))
-        except ConstraintError as exc:
-            raise ConstraintParseError(
-                f"gold constraint {constraint_text!r}: {exc}", line_number
-            ) from exc
-    return GoldRecord(record_id, text, spans, tuple(constraints), constraint_texts)
+        raise ValueError("record with preference spans must carry at least one constraint")
+    return record_id, text, spans, constraint_texts
 
 
 def load_dataset(path: str | Path) -> list[GoldRecord]:
@@ -132,12 +106,21 @@ def load_dataset(path: str | Path) -> list[GoldRecord]:
     records = []
     seen_ids: set[str] = set()
     with open(path, "rb") as handle:
-        for line_number, raw in json_lines(handle, SchemaError):
-            record = _record_from_dict(raw, line_number)
-            if record.id in seen_ids:
-                raise SchemaError(f"duplicate record id {record.id!r}", line_number)
-            seen_ids.add(record.id)
-            records.append(record)
+        for line_number, (record_id, text, spans, constraint_texts) in json_lines(
+            handle, SchemaError, _record_fields
+        ):
+            constraints = []
+            for constraint_text in constraint_texts:
+                try:
+                    constraints.append(parse_constraint(constraint_text))
+                except ConstraintError as exc:
+                    raise ConstraintParseError(
+                        f"gold constraint {constraint_text!r}: {exc}", line_number
+                    ) from exc
+            if record_id in seen_ids:
+                raise SchemaError(f"duplicate record id {record_id!r}", line_number)
+            seen_ids.add(record_id)
+            records.append(GoldRecord(record_id, text, spans, tuple(constraints), constraint_texts))
     return records
 
 

@@ -1,4 +1,9 @@
-"""Shared exception base, and the one way each JSON or JSONL input file is read and fails."""
+"""Shared exception base, and the one way each JSON or JSONL input file is read and fails.
+
+Every fault in an input's shape is worded here: a value that is not a JSON
+object, a missing field, a field of another JSON type.  A reader declares its
+fields with ``typed`` and ``typed_array`` and words only its domain rules.
+"""
 
 import json
 from pathlib import Path
@@ -19,8 +24,57 @@ class LineError(Pref2ConstraintError):
         self.line_number = line_number
 
 
-def json_lines(lines: Iterable[bytes], error: type[LineError]) -> Iterator[tuple[int, object]]:
-    """(line number, value) of each non-blank line; one not UTF-8 JSON raises ``error``."""
+# The JSON name of each type that json.loads returns.
+_JSON_TYPES = {
+    type(None): "null", bool: "boolean", int: "number", float: "number",
+    str: "string", list: "array", dict: "object",
+}
+# Each kind a field is read as: its Python types, and what one value or each entry "must be".
+_KINDS = {
+    "object": ((dict,), "an object", "objects"),
+    "array": ((list,), "an array", "arrays"),
+    "string": ((str,), "a string", "strings"),
+    "integer": ((int,), "an integer", "integers"),  # a boolean is no integer
+    "number": ((int, float), "a number", "numbers"),
+    "true or false": ((bool,), "true or false", "true or false"),
+}
+
+
+def typed(data: dict, name: str, kind: str):
+    """``data[name]`` if it is a JSON ``kind`` (a number comes back as a float); else a TypeError."""
+    value = data[name]
+    types, one, _ = _KINDS[kind]
+    if type(value) not in types:
+        raise TypeError(f"{name!r} must be {one}, got {json.dumps(value)}")
+    return float(value) if kind == "number" else value
+
+
+def typed_array(data: dict, name: str, kind: str) -> list:
+    """``data[name]`` if it is a JSON array of ``kind`` entries (numbers as floats); else a TypeError."""
+    values = typed(data, name, "array")
+    types, _, entries = _KINDS[kind]
+    for value in values:
+        if type(value) not in types:
+            raise TypeError(f"{name!r} entries must be {entries}, got {json.dumps(value)}")
+    return [float(value) for value in values] if kind == "number" else values
+
+
+def _parse_object(value: object, parse: Callable[[dict], T], error: Callable[[str], Exception]) -> T:
+    """``parse(value)`` if ``value`` is a JSON object; any fault raises ``error(message)``."""
+    try:
+        if type(value) is not dict:
+            raise TypeError(f"expected a JSON object, got {_JSON_TYPES[type(value)]}")
+        return parse(value)
+    except KeyError as exc:  # parse looked up a field the object lacks
+        raise error(f"missing field {exc}") from exc
+    except (ValueError, TypeError, Pref2ConstraintError) as exc:
+        raise error(str(exc)) from exc
+
+
+def json_lines(
+    lines: Iterable[bytes], error: type[LineError], parse: Callable[[dict], T]
+) -> Iterator[tuple[int, T]]:
+    """(line number, ``parse`` of its JSON object) of each non-blank line; a fault raises ``error``."""
     for line_number, raw in enumerate(lines, start=1):
         try:
             text = raw.decode("utf-8")
@@ -29,7 +83,7 @@ def json_lines(lines: Iterable[bytes], error: type[LineError]) -> Iterator[tuple
             value = json.loads(text)
         except ValueError as exc:  # UnicodeDecodeError is one too
             raise error(f"not UTF-8 JSON: {exc}", line_number) from exc
-        yield line_number, value
+        yield line_number, _parse_object(value, parse, lambda message: error(message, line_number))
 
 
 def read_json_object(path: str | Path, error: type[Exception], parse: Callable[[dict], T]) -> T:
@@ -38,50 +92,4 @@ def read_json_object(path: str | Path, error: type[Exception], parse: Callable[[
         data = json.loads(Path(path).read_bytes().decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError is one too
         raise error(f"{path}: not UTF-8 JSON: {exc}") from exc
-    try:
-        if not isinstance(data, dict):
-            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-        return parse(data)
-    except KeyError as exc:  # parse looked up a field the object lacks
-        raise error(f"{path}: missing field {exc}") from exc
-    except (ValueError, TypeError, Pref2ConstraintError) as exc:
-        raise error(f"{path}: {exc}") from exc
-
-
-def int_field(data: dict, name: str) -> int:
-    """``data[name]`` if it is a JSON integer (not a float or a boolean); else a TypeError."""
-    value = data[name]
-    if type(value) is not int:
-        raise TypeError(f"{name!r} must be an integer, got {json.dumps(value)}")
-    return value
-
-
-def str_field(data: dict, name: str) -> str:
-    """``data[name]`` if it is a JSON string; else a TypeError."""
-    value = data[name]
-    if not isinstance(value, str):
-        raise TypeError(f"{name!r} must be a string, got {json.dumps(value)}")
-    return value
-
-
-def object_field(data: dict, name: str) -> dict:
-    """``data[name]`` if it is a JSON object; else a TypeError."""
-    value = data[name]
-    if not isinstance(value, dict):
-        raise TypeError(f"{name!r} must be an object, got {json.dumps(value)}")
-    return value
-
-
-def array_field(data: dict, name: str) -> list:
-    """``data[name]`` if it is a JSON array; else a TypeError."""
-    value = data[name]
-    if not isinstance(value, list):
-        raise TypeError(f"{name!r} must be an array, got {json.dumps(value)}")
-    return value
-
-
-def json_number(value: object, rule: str) -> float:
-    """``value`` as a float if it is a JSON number (not a boolean); else a TypeError citing ``rule``."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{rule}, got {json.dumps(value)}")
-    return float(value)
+    return _parse_object(data, parse, lambda message: error(f"{path}: {message}"))

@@ -26,7 +26,7 @@ from .constraints import (
     Until,
     Variable,
 )
-from .errors import Pref2ConstraintError, array_field, int_field, json_number
+from .errors import Pref2ConstraintError, typed
 
 ALLOWED_SLOT_MINUTES = (1, 5, 15, 30, 60)
 
@@ -125,20 +125,21 @@ class GroundedAssignment:
     @classmethod
     def from_dict(cls, data: dict) -> "GroundedAssignment":
         """Read the JSON form; an ill-typed field is a TypeError naming it."""
-        horizon = Horizon(int_field(data, "slot_minutes"))
-        state = array_field(data, "state")
+        horizon = Horizon(typed(data, "slot_minutes", "integer"))
+        state = typed(data, "state", "array")
         for v in state:
             if v is not None and not (type(v) is int and v in (0, 1)):
                 raise TypeError(f"'state' entries must be 0, 1 or null, got {json.dumps(v)}")
-        temperature = [
-            None if v is None else json_number(v, "'temperature' entries must be numbers or null")
-            for v in array_field(data, "temperature")
-        ]
+        temperature = typed(data, "temperature", "array")
+        for v in temperature:
+            if v is not None and type(v) not in (int, float):
+                raise TypeError(f"'temperature' entries must be numbers or null, got {json.dumps(v)}")
         for v in temperature:
             if v is not None and not math.isfinite(v):
                 raise GroundingError(
                     f"'temperature' entries must be finite numbers or null, got {json.dumps(v)}"
                 )
+        temperature = [None if v is None else float(v) for v in temperature]
         return cls(horizon, list(state), temperature)
 
 

@@ -33,10 +33,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Protocol
 
 from .dataset import GoldRecord
-from .errors import (
-    LineError, Pref2ConstraintError, int_field, json_lines, json_number, object_field,
-    read_json_object, str_field,
-)
+from .errors import LineError, Pref2ConstraintError, json_lines, read_json_object, typed, typed_array
 from .prompting import (
     MAX_FEW_SHOT, ExamplePool, PromptMemo, PromptSpec, ShotSetting, build_prompt, get_template,
 )
@@ -146,13 +143,9 @@ class MockBackend:
     @classmethod
     def from_file(cls, path: str | Path) -> "MockBackend":
         """Fixtures from a JSON object mapping each prompt digest to a response string."""
-        def parse(responses: dict) -> "MockBackend":
-            for digest, text in responses.items():
-                if not isinstance(text, str):
-                    raise TypeError(f"the response for prompt digest {digest!r} is not a string")
-            return cls(responses)
-
-        return read_json_object(path, ConfigError, parse)
+        return read_json_object(
+            path, ConfigError, lambda data: cls({digest: typed(data, digest, "string") for digest in data})
+        )
 
     def send(self, request: CompletionRequest) -> ModelResponse:
         digest = prompt_digest(request.prompt)
@@ -302,26 +295,20 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
-        # Every field is read before any is converted, so a KeyError names the first missing one.
+        # Every field is read before any is checked, so a KeyError names the first missing one.
         values = {f.name: data[f.name] for f in fields(cls)}
-        decoding, labels = object_field(values, "decoding"), values["shot_labels"]
-        if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
-            raise TypeError(f"'shot_labels' must be an array of strings, got {json.dumps(labels)}")
-        return cls(**{
-            **values,
-            # Annotations are strings in this module, so this picks the fields declared str.
-            **{f.name: str_field(values, f.name) for f in fields(cls) if f.type == "str"},
-            "shot_labels": tuple(labels),
-            "few_shot_k": int_field(values, "few_shot_k"),
-            "decoding": DecodingConfig(**{
-                **decoding,
-                "temperature": json_number(decoding["temperature"], "'temperature' must be a number"),
-                "top_k": int_field(decoding, "top_k"),
-                "top_p": json_number(decoding["top_p"], "'top_p' must be a number"),
-                "max_new_tokens": int_field(decoding, "max_new_tokens"),
-            }),
-            "seed": int_field(values, "seed"),
-        })
+        decoding = typed(values, "decoding", "object")
+        unknown = [name for name in decoding if name not in DecodingConfig.__dataclass_fields__]
+        if unknown:
+            raise ValueError(f"unknown field {unknown[0]!r}")
+        kinds = {"str": "string", "int": "integer", "float": "number"}  # annotations are strings
+        return cls(
+            **{f.name: typed(values, f.name, kinds[f.type]) for f in fields(cls) if f.type in kinds},
+            shot_labels=tuple(typed_array(values, "shot_labels", "string")),
+            decoding=DecodingConfig(
+                **{f.name: typed(decoding, f.name, kinds[f.type]) for f in fields(DecodingConfig)}
+            ),
+        )
 
 
 def manifest_path_for(outputs_path: str | Path) -> Path:
@@ -352,6 +339,14 @@ def read_manifest(outputs_path: str | Path) -> RunManifest | None:
     return read_json_object(manifest_file, CorruptManifestError, RunManifest.from_dict)
 
 
+def _outputs_row(data: dict) -> tuple[str, str, str]:
+    return (
+        typed(data, "record_id", "string"),
+        typed(data, "shot", "string"),
+        typed(data, "response_text", "string"),
+    )
+
+
 def parse_outputs(lines: Iterable[bytes]) -> dict[tuple[str, str], tuple[int, str]]:
     """{(record_id, shot): (line number, response_text)} of outputs lines, in order.
 
@@ -360,17 +355,7 @@ def parse_outputs(lines: Iterable[bytes]) -> dict[tuple[str, str], tuple[int, st
     a (record, shot) pair, raises CorruptOutputsError.
     """
     rows: dict[tuple[str, str], tuple[int, str]] = {}
-    for line_number, data in json_lines(lines, CorruptOutputsError):
-        if not isinstance(data, dict):
-            raise CorruptOutputsError(
-                f"expected a JSON object, got {json.dumps(data)}", line_number
-            )
-        try:
-            record_id, shot, text = data["record_id"], data["shot"], data["response_text"]
-            if not all(isinstance(value, str) for value in (record_id, shot, text)):
-                raise TypeError("record_id, shot and response_text must be strings")
-        except (KeyError, TypeError) as exc:
-            raise CorruptOutputsError(f"bad outputs line: {exc}", line_number) from exc
+    for line_number, (record_id, shot, text) in json_lines(lines, CorruptOutputsError, _outputs_row):
         if (record_id, shot) in rows:
             raise CorruptOutputsError(
                 f"duplicate row for record {record_id!r}, shot {shot!r}", line_number

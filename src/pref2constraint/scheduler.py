@@ -14,7 +14,6 @@ model for generated constraints to have observable consequences.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -22,9 +21,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from .constraints import Constraint
-from .errors import (
-    Pref2ConstraintError, array_field, int_field, json_number, object_field, read_json_object
-)
+from .errors import Pref2ConstraintError, read_json_object, typed, typed_array
 from .grounding import ConflictError, GroundedAssignment, Horizon, ground, merge
 
 
@@ -74,30 +71,21 @@ class ScheduleProblem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScheduleProblem":
-        horizon = Horizon(int_field(data, "slot_minutes"))
-        appliance_data = object_field(data, "appliance")
+        horizon = Horizon(typed(data, "slot_minutes", "integer"))
+        spec = typed(data, "appliance", "object")
         appliance = Appliance(
-            power_kw=json_number(appliance_data["power_kw"], "'power_kw' must be a number"),
-            duration_slots=int_field(appliance_data, "duration_slots"),
-            contiguous=appliance_data.get("contiguous", True),
+            power_kw=typed(spec, "power_kw", "number"),
+            duration_slots=typed(spec, "duration_slots", "integer"),
+            contiguous=typed(spec, "contiguous", "true or false") if "contiguous" in spec else True,
         )
-        if not isinstance(appliance.contiguous, bool):
-            raise TypeError(
-                f"'contiguous' must be true or false, got {json.dumps(appliance.contiguous)}"
-            )
-        if "forced" in data and data["forced"] is not None:
-            forced = GroundedAssignment.from_dict(object_field(data, "forced"))
-        else:
+        if data.get("forced") is None:
             forced = GroundedAssignment(horizon)
+        else:
+            forced = GroundedAssignment.from_dict(typed(data, "forced", "object"))
         return cls(
             horizon=horizon,
-            pv=tuple(
-                json_number(v, "'pv' entries must be numbers") for v in array_field(data, "pv")
-            ),
-            base_load=tuple(
-                json_number(v, "'base_load' entries must be numbers")
-                for v in array_field(data, "base_load")
-            ),
+            pv=tuple(typed_array(data, "pv", "number")),
+            base_load=tuple(typed_array(data, "base_load", "number")),
             appliance=appliance,
             forced=forced,
         )

@@ -1,10 +1,13 @@
-"""perfbench/tracing.py wraps package attributes by name; each one must still be there.
+"""The benchmark under perfbench/ imports package names and wraps package attributes by
+name; each one must still be there.
 
 The benchmark reaches some layers through re-exports that nothing in the
 package calls (``llm.select_examples``), so a tidy-up could delete one and
 only the benchmark would notice.
 """
 
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -23,4 +26,18 @@ def test_every_traced_attribute_is_callable(monkeypatch):
         for module, attribute, _ in tracing.TARGETS
         if not callable(getattr(module, attribute, None))
     ]
+    assert missing == []
+
+
+def test_every_name_the_benchmark_imports_from_the_package_resolves():
+    missing = []
+    for script in sorted(TRACING.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(script.read_text("utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pref2constraint"):
+                module = importlib.import_module(node.module)
+                missing += [
+                    f"{script.name}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if not hasattr(module, alias.name)
+                ]
     assert missing == []

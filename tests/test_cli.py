@@ -53,7 +53,7 @@ class TestValidateData:
         path.write_text("42\n", "utf-8")
         code, out, err = run_cli(capsys, "validate-data", "--data", str(path))
         assert code == 1 and out == ""
-        assert err == "SchemaError: line 1: a record must be a JSON object\n"
+        assert err == "SchemaError: line 1: expected a JSON object, got number\n"
 
     def test_line_that_is_not_utf8_is_one_line_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.jsonl"
@@ -348,7 +348,7 @@ class TestRunAndEval:
         flag = "--outputs" if command == "eval" else "--out"
         code, out, err = run_cli(capsys, command, flag, str(outputs))
         assert (code, out, err) == (
-            1, "", "CorruptOutputsError: line 4: expected a JSON object, got 5\n"
+            1, "", "CorruptOutputsError: line 4: expected a JSON object, got number\n"
         )
 
     @pytest.mark.parametrize("command", ["eval", "run"])
@@ -369,8 +369,8 @@ class TestRunAndEval:
     @pytest.mark.parametrize(
         "fixtures,named",
         [
-            ('{"d": 7}', "the response for prompt digest 'd' is not a string"),
-            ('["risposta"]', "expected a JSON object, got list"),
+            ('{"d": 7}', "'d' must be a string, got 7"),
+            ('["risposta"]', "expected a JSON object, got array"),
         ],
         ids=["number-response", "array"],
     )
@@ -381,6 +381,58 @@ class TestRunAndEval:
         code, out, err = run_cli(capsys, "run", "--out", str(outputs), "--fixtures", str(path))
         assert (code, out, err) == (1, "", f"ConfigError: {path}: {named}\n")
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("command", ["eval", "run"])
+    def test_manifest_with_an_unknown_decoding_setting_is_one_line_error(
+        self, capsys, tmp_path, command
+    ):
+        outputs = tmp_path / "r.jsonl"
+        assert run_cli(capsys, "run", "--out", str(outputs), "--shots", "0s")[0] == 0
+        manifest = manifest_path_for(outputs)
+        payload = json.loads(manifest.read_text("utf-8"))
+        payload["decoding"]["repetition_penalty"] = 1.1
+        manifest.write_text(json.dumps(payload), "utf-8")
+        flag = "--outputs" if command == "eval" else "--out"
+        code, out, err = run_cli(capsys, command, flag, str(outputs))
+        assert (code, out, err) == (
+            1, "", f"CorruptManifestError: {manifest}: unknown field 'repetition_penalty'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["eval", "run"])
+    def test_manifest_with_an_unknown_top_level_field_is_read(self, capsys, tmp_path, command):
+        outputs = tmp_path / "r.jsonl"
+        assert run_cli(capsys, "run", "--out", str(outputs), "--shots", "0s")[0] == 0
+        manifest = manifest_path_for(outputs)
+        payload = json.loads(manifest.read_text("utf-8"))
+        manifest.write_text(json.dumps({**payload, "note": "pilot"}), "utf-8")
+        argv = ["--outputs", str(outputs)] if command == "eval" else ["--out", str(outputs), "--shots", "0s"]
+        code, _, err = run_cli(capsys, command, *argv, "--json")
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            (
+                "\ufeffendpoint = http://localhost:9/v1\n",
+                "line 1: unknown key '\\ufeffendpoint' (expected endpoint, api_key or model)",
+            ),
+            (
+                "# remote\n\nendpont = http://localhost:9/v1\n",
+                "line 3: unknown key 'endpont' (expected endpoint, api_key or model)",
+            ),
+            ("model = m\nendpoint: http://localhost:9/v1\n", "line 2: expected 'key = value'"),
+        ],
+        ids=["byte-order-mark", "typo", "no-equals"],
+    )
+    def test_run_refuses_a_config_line_it_cannot_use(self, capsys, tmp_path, text, named):
+        config = tmp_path / "settings.cfg"
+        config.write_text(text, "utf-8")
+        outputs = tmp_path / "run.jsonl"
+        code, out, err = run_cli(
+            capsys, "run", "--out", str(outputs), "--backend", "openai", "--config", str(config)
+        )
+        assert (code, out, err) == (1, "", f"ConfigError: {config}: {named}\n")
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_run_refuses_a_config_file_that_is_not_utf8(self, capsys, tmp_path):
         config = tmp_path / "settings.cfg"
@@ -468,7 +520,7 @@ class TestScheduleCommands:
         "payload,named",
         [
             ({}, "missing field 'slot_minutes'"),
-            ([1, 2], "expected a JSON object, got list"),
+            ([1, 2], "expected a JSON object, got array"),
             ({"slot_minutes": 60, "pv": [], "base_load": []}, "missing field 'appliance'"),
             ({"slot_minutes": 60, "appliance": {}}, "missing field 'power_kw'"),
         ],

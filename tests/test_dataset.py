@@ -94,16 +94,25 @@ class TestLoad:
     @pytest.mark.parametrize(
         "line,message",
         [
-            ("42", "a record must be a JSON object"),
-            ("null", "a record must be a JSON object"),
-            ('["u01"]', "a record must be a JSON object"),
-            (json.dumps(dict(SAMPLE_RECORD, spans=[5])), "each span must be a JSON object"),
-            (json.dumps(dict(SAMPLE_RECORD, spans=[None])), "each span must be a JSON object"),
-            (json.dumps(dict(SAMPLE_RECORD, constraints=[5])), "each constraint must be a string"),
-            (json.dumps(dict(SAMPLE_RECORD, constraints=[None])), "each constraint must be a string"),
+            ("42", "expected a JSON object, got number"),
+            ("null", "expected a JSON object, got null"),
+            ('["u01"]', "expected a JSON object, got array"),
+            (json.dumps(dict(SAMPLE_RECORD, spans=[5])), "'spans' entries must be objects, got 5"),
+            (
+                json.dumps(dict(SAMPLE_RECORD, spans=[None])),
+                "'spans' entries must be objects, got null",
+            ),
+            (
+                json.dumps(dict(SAMPLE_RECORD, constraints=[5])),
+                "'constraints' entries must be strings, got 5",
+            ),
+            (
+                json.dumps(dict(SAMPLE_RECORD, constraints=[None])),
+                "'constraints' entries must be strings, got null",
+            ),
             (
                 json.dumps(dict(SAMPLE_RECORD, spans=[{"start": True, "end": 5, "kind": "time"}])),
-                "span offsets must be integers",
+                "'start' must be an integer, got true",
             ),
         ],
         ids=[

@@ -95,9 +95,9 @@ class TestMockBackend:
         [
             (b"{", "not UTF-8 JSON: "),
             ('{"d": "caffè"}'.encode("latin-1"), "not UTF-8 JSON: "),
-            (b'["risposta"]', "expected a JSON object, got list"),
-            (b'{"d": "ok", "e": 7}', "the response for prompt digest 'e' is not a string"),
-            (b'{"d": null}', "the response for prompt digest 'd' is not a string"),
+            (b'["risposta"]', "expected a JSON object, got array"),
+            (b'{"d": "ok", "e": 7}', "'e' must be a string, got 7"),
+            (b'{"d": null}', "'d' must be a string, got null"),
         ],
         ids=["bad-json", "latin-1", "array", "number-response", "null-response"],
     )
@@ -699,7 +699,7 @@ class TestRunExperiment:
         "manifest_text,named",
         [
             ('{"model_id": "m"}', "missing field 'dataset_path'"),
-            ("[1]", "expected a JSON object, got list"),
+            ("[1]", "expected a JSON object, got array"),
             ("{", "not UTF-8 JSON: "),
         ],
         ids=["missing-field", "not-an-object", "bad-json"],
@@ -763,17 +763,23 @@ class TestRunExperiment:
             run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
         assert not outputs.exists()
 
-    @pytest.mark.parametrize("value", ["fs", ["0s", 1], None, {"0s": "fs"}], ids=repr)
+    @pytest.mark.parametrize(
+        "value,named",
+        [
+            ("fs", "'shot_labels' must be an array, got \"fs\""),
+            (["0s", 1], "'shot_labels' entries must be strings, got 1"),
+            (None, "'shot_labels' must be an array, got null"),
+            ({"0s": "fs"}, "'shot_labels' must be an array, got {\"0s\": \"fs\"}"),
+        ],
+        ids=["'fs'", "['0s', 1]", "None", "{'0s': 'fs'}"],
+    )
     def test_manifest_shot_labels_must_be_an_array_of_strings(
-        self, pilot_manifest, pilot_records, tmp_path, value
+        self, pilot_manifest, pilot_records, tmp_path, value, named
     ):
         outputs = tmp_path / "run.jsonl"
         data = {**pilot_manifest.to_dict(), "shot_labels": value}
         manifest_path_for(outputs).write_text(json.dumps(data), "utf-8")
-        message = (
-            f"{manifest_path_for(outputs)}: 'shot_labels' must be an array of strings, "
-            f"got {json.dumps(value)}"
-        )
+        message = f"{manifest_path_for(outputs)}: {named}"
         with pytest.raises(CorruptManifestError, match=re.escape(message)):
             read_manifest(outputs)
         with pytest.raises(CorruptManifestError, match=re.escape(message)):
@@ -782,7 +788,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("value", [True, "0.5", None], ids=repr)
     @pytest.mark.parametrize("name", ["temperature", "top_p"])
-    def test_manifest_decoding_numbers_must_be_json_numbers(
+    def test_manifest_decoding_numbers_must_be_numbers(
         self, pilot_manifest, pilot_records, tmp_path, name, value
     ):
         outputs = tmp_path / "run.jsonl"
