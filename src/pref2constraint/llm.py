@@ -258,8 +258,12 @@ class RunManifest:
     timestamp: str
 
     def __post_init__(self) -> None:
+        if not self.shot_labels:
+            raise ConfigError("shot labels must not be empty")
         if len(set(self.shot_labels)) != len(self.shot_labels):
             raise ConfigError(f"shot labels must not repeat, got {','.join(self.shot_labels)}")
+        for label in self.shot_labels:  # an unknown label, or fs with k outside 2..5, raises
+            ShotSetting.from_label(label, self.few_shot_k)
 
     @classmethod
     def create(
@@ -339,10 +343,11 @@ def read_manifest(outputs_path: str | Path) -> RunManifest | None:
     return read_json_object(manifest_file, CorruptManifestError, RunManifest.from_dict)
 
 
-def _outputs_row(data: dict) -> tuple[str, str, str]:
+def _outputs_row(data: dict) -> tuple[str, str, str, str]:
     return (
         typed(data, "record_id", "string"),
         typed(data, "shot", "string"),
+        typed(data, "prompt_digest", "string"),
         typed(data, "response_text", "string"),
     )
 
@@ -351,11 +356,12 @@ def parse_outputs(lines: Iterable[bytes]) -> dict[tuple[str, str], tuple[int, st
     """{(record_id, shot): (line number, response_text)} of outputs lines, in order.
 
     Blank lines are skipped.  The first line that is not a UTF-8 JSON object
-    with string ``record_id``, ``shot`` and ``response_text``, or that repeats
-    a (record, shot) pair, raises CorruptOutputsError.
+    with string ``record_id``, ``shot``, ``prompt_digest`` and
+    ``response_text``, or that repeats a (record, shot) pair, raises
+    CorruptOutputsError.
     """
     rows: dict[tuple[str, str], tuple[int, str]] = {}
-    for line_number, (record_id, shot, text) in json_lines(lines, CorruptOutputsError, _outputs_row):
+    for line_number, (record_id, shot, _, text) in json_lines(lines, CorruptOutputsError, _outputs_row):
         if (record_id, shot) in rows:
             raise CorruptOutputsError(
                 f"duplicate row for record {record_id!r}, shot {shot!r}", line_number
@@ -404,16 +410,20 @@ Rank = tuple[int, int]  # (record position in the corpus, shot position in the m
 
 
 def _complete_all(
-    work: list[tuple[Rank, str, str, str]],
+    work: list[tuple[Rank, PromptSpec]],
     manifest: RunManifest,
+    records: dict[str, GoldRecord],
     backend: Backend,
     out: BinaryIO,
     concurrency: int,
 ) -> tuple[list[tuple[Rank, bytes]], list[tuple[Rank, RunFailure]]]:
-    """Complete each (rank, record_id, shot, prompt) item and append its line to ``out``.
+    """Complete each (rank, spec) item and append its line to ``out``.
 
     The calling thread and up to ``concurrency - 1`` helper threads each take
-    the next item from one shared iterator, complete it and queue its line.
+    the next item from one shared iterator, render its prompt from the
+    examples in ``records`` (by id), complete it and queue its line.  So at
+    most ``concurrency`` rendered prompts are held at once, and the workers
+    share one ``PromptMemo``.
     A worker that then gets the write lock without waiting writes and flushes
     every queued line, so a finished line waits on no other request.  Returns
     the (rank, line) pairs in the order written and the (rank, failure) pairs
@@ -422,6 +432,7 @@ def _complete_all(
     another item, and is raised once they have all returned.
     """
     items = iter(work)
+    memo = PromptMemo()  # each example block and tagged target is rendered once per run
     take, write = threading.Lock(), threading.Lock()
     finished: queue.SimpleQueue[tuple[Rank, bytes]] = queue.SimpleQueue()
     written: list[tuple[Rank, bytes]] = []
@@ -450,16 +461,18 @@ def _complete_all(
                     item = next(items, None)
                 if item is None:
                     return
-                rank, record_id, shot, prompt = item
+                rank, spec = item
+                # Rendered outside the take lock, so workers build prompts side by side.
+                prompt = build_prompt(spec, [records[i] for i in spec.example_ids], memo=memo)
                 request = CompletionRequest(prompt, manifest.model_id, manifest.decoding)
                 try:
                     text = complete(backend, request).text
                 except BackendError as exc:
-                    failures.append((rank, RunFailure(record_id, shot, str(exc))))
+                    failures.append((rank, RunFailure(spec.target.id, spec.shot.label, str(exc))))
                     continue
                 line = {
-                    "record_id": record_id,
-                    "shot": shot,
+                    "record_id": spec.target.id,
+                    "shot": spec.shot.label,
                     "prompt_digest": prompt_digest(prompt),
                     "response_text": text,
                 }
@@ -493,7 +506,11 @@ def run_experiment(
 ) -> RunSummary:
     """Complete every (record, shot) pair not yet in the outputs file.
 
-    ``concurrency`` threads, the calling one included, send requests.  Each
+    Every record's examples are drawn and every prompt spec checked before
+    the manifest or any line is written, so too few records, a leak of the
+    target into its examples or an unknown template writes nothing.  Then
+    ``concurrency`` threads, the calling one included, send requests; each
+    renders the prompt it sends, so a run never holds every prompt.  Each
     line is appended and flushed as its completion returns, so until the run
     ends the lines are in completion order and a killed run keeps every
     finished line.  A run that ends rewrites the file once, through a
@@ -527,23 +544,23 @@ def run_experiment(
                 f"{outputs_path} was run with another configuration "
                 f"(differing fields: {', '.join(differing)})"
             )
-    # A repeated id, bad shot label or unknown template fails before anything is written.
+    # A repeated id or unknown template fails before anything is written.
     examples = ExamplePool(records, manifest.seed)
     shots = manifest.shots
     get_template(manifest.template_id)
     done, dropped_tail = _resume(outputs_path)
     summary = RunSummary(skipped=len(done), dropped_tail=dropped_tail)
 
-    memo = PromptMemo()  # each example block and tagged target is rendered once per run
-    work: list[tuple[Rank, str, str, str]] = []  # (rank, record_id, shot label, prompt)
+    # Examples are drawn and each spec checked here, before anything is written;
+    # a prompt is rendered only by the worker that sends it.
+    work: list[tuple[Rank, PromptSpec]] = []
     for position, record in enumerate(records):
         pending = [(i, shot) for i, shot in enumerate(shots) if (record.id, shot.label) not in done]
         # One draw per record: a shot's examples are a prefix of the longest list.
         drawn = examples.select(record.id, max((s.n_examples for _, s in pending), default=0))
         for i, shot in pending:
             spec = PromptSpec(manifest.template_id, shot, tuple(drawn[: shot.n_examples]), record)
-            chosen = [examples.records[example_id] for example_id in spec.example_ids]
-            work.append(((position, i), record.id, shot.label, build_prompt(spec, chosen, memo=memo)))
+            work.append(((position, i), spec))
 
     outputs_path.parent.mkdir(parents=True, exist_ok=True)
     if existing is None:
@@ -555,7 +572,7 @@ def run_experiment(
             json.dump(written, handle, ensure_ascii=False, indent=2)
             handle.write("\n")
     with open(outputs_path, "ab") as out:
-        appended, failures = _complete_all(work, manifest, backend, out, concurrency)
+        appended, failures = _complete_all(work, manifest, examples.records, backend, out, concurrency)
     summary.completed = len(appended)
     summary.failures = [failure for _, failure in sorted(failures, key=lambda pair: pair[0])]
 

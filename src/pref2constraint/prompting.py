@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import threading
 from dataclasses import dataclass
 
 from .dataset import GoldRecord, resource_path, tag_utterance
@@ -124,24 +125,33 @@ class PromptMemo:
     It keeps each record's tagged utterance and example block by record id,
     so it is right only while every id names one record: build one per run
     and drop it with the run.
+
+    The threads of a run share one memo.  A hit reads a dict without a
+    lock; a miss renders under one, re-checked, so two threads that miss on
+    one key still render it once.
     """
 
     def __init__(self) -> None:
         self._tagged: dict[str, str] = {}  # record id -> tag_utterance(record)
         self._blocks: dict[tuple[str, str], str] = {}  # (template id, record id) -> block
+        self._filling = threading.RLock()  # example_block fills a tagged utterance while held
 
     def tagged(self, record: GoldRecord) -> str:
         if record.id not in self._tagged:
-            self._tagged[record.id] = tag_utterance(record)
+            with self._filling:
+                if record.id not in self._tagged:
+                    self._tagged[record.id] = tag_utterance(record)
         return self._tagged[record.id]
 
     def example_block(self, template_id: str, record: GoldRecord) -> str:
         key = template_id, record.id
         if key not in self._blocks:
-            template = get_template(template_id)
-            lines = [f"{template.example_label} {self.tagged(record)}", template.constraints_label]
-            lines.extend(render_constraint(c) for c in record.constraints)
-            self._blocks[key] = "\n".join(lines)
+            with self._filling:
+                if key not in self._blocks:
+                    template = get_template(template_id)
+                    lines = [f"{template.example_label} {self.tagged(record)}", template.constraints_label]
+                    lines.extend(render_constraint(c) for c in record.constraints)
+                    self._blocks[key] = "\n".join(lines)
         return self._blocks[key]
 
 

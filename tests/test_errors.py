@@ -407,3 +407,21 @@ def test_a_type_swapped_value_is_refused_in_one_grammar(capsys, tmp_path, kind, 
     assert any(word in message for word in NAMING_WORDS) or re.search(
         rf"\b({field_words})s?\b", message
     ), err
+
+
+# Sweep cases that no value rule lets through: each must be refused, not scored.
+NEVER_VALID = {
+    "manifest-shot_labels-[]",
+    'manifest-shot_labels.0-"x"',
+    "outputs-prompt_digest-null",
+    "outputs-prompt_digest-[1]",
+    'outputs-prompt_digest-{"a": 1}',
+}
+
+
+@pytest.mark.parametrize("kind,path,value", [case for case in SWEEP if case.id in NEVER_VALID])
+def test_a_swap_to_no_valid_value_exits_1(capsys, tmp_path, kind, path, value):
+    document, write = INPUT_FILES[kind]
+    argv, where = write(tmp_path, swapped(document, path, value))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.partition(": ")[2].startswith(where)

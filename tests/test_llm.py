@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from pref2constraint import llm, prompting
-from pref2constraint.dataset import mock_fixtures_path, pilot_corpus_path
+from pref2constraint.dataset import dump_dataset, mock_fixtures_path, pilot_corpus_path
 from pref2constraint.llm import (
     AuthError,
     CompletionRequest,
@@ -434,6 +434,28 @@ class TestRunExperiment:
         assert excinfo.value.line_number == 1
 
     @pytest.mark.parametrize(
+        "row,named",
+        [
+            ({"record_id": "u02", "shot": "0s", "prompt_digest": None, "response_text": "y"},
+             "'prompt_digest' must be a string, got null"),
+            ({"record_id": "u02", "shot": "0s", "response_text": "y"},
+             "missing field 'prompt_digest'"),
+        ],
+        ids=["null", "missing"],
+    )
+    def test_resume_and_eval_refuse_a_line_without_a_prompt_digest(
+        self, pilot_manifest, pilot_records, tmp_path, row, named
+    ):
+        outputs = tmp_path / "run.jsonl"
+        outputs.write_text(json.dumps(VALID_ROW) + "\n" + json.dumps(row) + "\n", "utf-8")
+        before = outputs.read_bytes()
+        with pytest.raises(CorruptOutputsError, match=re.escape(f"line 2: {named}")):
+            evaluate_run(outputs, pilot_records, model_id="m")
+        with pytest.raises(CorruptOutputsError, match=re.escape(f"line 2: {named}")):
+            run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert outputs.read_bytes() == before
+
+    @pytest.mark.parametrize(
         "second_line",
         [
             "not json",
@@ -615,6 +637,39 @@ class TestRunExperiment:
             run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), tmp_path / name)
             assert sorted(tagged) == ids
 
+    def test_each_prompt_is_built_just_before_it_is_sent(
+        self, pilot_manifest, pilot_records, tmp_path, monkeypatch
+    ):
+        mock, built, seen = shipped_mock_backend(), [], []
+        build_prompt = llm.build_prompt
+
+        def counted(*args, **kwargs):
+            built.append(None)
+            return build_prompt(*args, **kwargs)
+
+        class Watching:
+            name = "watching"
+
+            def send(self, request):
+                seen.append(len(built))
+                return mock.send(request)
+
+        monkeypatch.setattr(llm, "build_prompt", counted)
+        outputs = tmp_path / "run.jsonl"
+        summary = run_experiment(pilot_manifest, pilot_records, Watching(), outputs, concurrency=1)
+        assert summary.completed == 78 and not summary.failures
+        assert seen == list(range(1, 79))  # send k sees exactly k prompts built
+
+    def test_too_few_records_fail_before_anything_is_written(self, pilot_records, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        dump_dataset(pilot_records[:4], corpus)
+        manifest = RunManifest.create(corpus, "it", ("fs",), "mock-model", few_shot_k=5)
+        outputs = tmp_path / "runs" / "run.jsonl"
+        with pytest.raises(prompting.InsufficientDataError, match="need 5 examples"):
+            run_experiment(manifest, pilot_records[:4], shipped_mock_backend(), outputs)
+        assert not outputs.exists() and not manifest_path_for(outputs).exists()
+        assert not outputs.parent.exists()
+
     @pytest.mark.parametrize(
         "change", [{"model_id": "other-model"}, {"seed": 7}], ids=["model_id", "seed"]
     )
@@ -722,6 +777,31 @@ class TestRunExperiment:
         manifest_path_for(outputs).write_text(json.dumps(data), "utf-8")
         with pytest.raises(CorruptManifestError, match="shot labels must not repeat"):
             read_manifest(outputs)
+
+    @pytest.mark.parametrize(
+        "labels,k,named",
+        [
+            ([], 5, "shot labels must not be empty"),
+            (["x"], 5, "unknown shot label 'x' (expected 0s, 1s or fs)"),
+            (["0s", "2s"], 5, "unknown shot label '2s' (expected 0s, 1s or fs)"),
+            (["0s", "fs"], 7, "few-shot k must be in 2..5, got 7"),
+        ],
+        ids=["empty", "unknown", "one-unknown", "fs-k-out-of-range"],
+    )
+    def test_manifest_shot_labels_must_name_shot_settings(
+        self, pilot_manifest, pilot_records, tmp_path, labels, k, named
+    ):
+        outputs = tmp_path / "run.jsonl"
+        outputs.write_text(json.dumps(VALID_ROW) + "\n", "utf-8")
+        data = {**pilot_manifest.to_dict(), "shot_labels": labels, "few_shot_k": k}
+        manifest_path_for(outputs).write_text(json.dumps(data), "utf-8")
+        message = f"{manifest_path_for(outputs)}: {named}"
+        with pytest.raises(CorruptManifestError, match=re.escape(message)):
+            read_manifest(outputs)
+        with pytest.raises(CorruptManifestError, match=re.escape(message)):
+            evaluate_run(outputs, pilot_records)
+        with pytest.raises((ConfigError, prompting.PromptingError), match=re.escape(named)):
+            replace(pilot_manifest, shot_labels=tuple(labels), few_shot_k=k)
 
     @pytest.mark.parametrize("value", [5.9, 5.0, "0", True, None], ids=repr)
     @pytest.mark.parametrize(

@@ -352,7 +352,10 @@ class TestEvaluateRun:
 
     @pytest.mark.parametrize(
         "tail",
-        [b'{"record_id": "u2", "sh', b'{"record_id": "u2", "shot": "0s", "response_text": "\xe2\x88'],
+        [
+            b'{"record_id": "u2", "sh',
+            b'{"record_id": "u2", "shot": "0s", "prompt_digest": "x", "response_text": "\xe2\x88',
+        ],
         ids=["mid-key", "mid-character"],
     )
     def test_torn_last_line_is_skipped(self, tmp_path, tail):
@@ -372,15 +375,17 @@ class TestEvaluateRun:
         (report,) = evaluate_run(outputs, GOLD, model_id="m")
         assert [report] == expected and report.n_utterances == 2
 
+    LINE = b'{"record_id": "u1", "shot": "0s", "prompt_digest": "x", "response_text": "y"}'
+
     @pytest.mark.parametrize(
         "lines",
         [
             # an unterminated last line that is JSON is checked like any other
-            [b'{"record_id": "u1", "shot": "0s", "response_text": "y"}', b'{"record_id": "u2"}'],
-            [b'{"record_id": "u1", "shot": "0s", "response_text": "y"}'] * 2,
+            [LINE, b'{"record_id": "u2"}'],
+            [LINE] * 2,
             # only the last line can be torn
-            [b'{"record_id": "u1", "sh', b'{"record_id": "u2", "shot": "0s", "response_text": "y"}'],
-            [b'{"record_id": "u1", "shot": "0s", "response_text": "y"}', b'{"record_id": "u2", "sh\n'],
+            [b'{"record_id": "u1", "sh', LINE.replace(b'"u1"', b'"u2"')],
+            [LINE, b'{"record_id": "u2", "sh\n'],
         ],
         ids=["missing-field", "duplicate", "torn-first-line", "terminated-fragment"],
     )

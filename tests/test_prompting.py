@@ -1,5 +1,8 @@
 import hashlib
 import random
+import sys
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -366,6 +369,38 @@ class TestPromptMemo:
             constraint for _, example_id in examples for constraint in by_id[example_id].constraints
         )
         assert rendered == expected
+
+    def test_threads_that_miss_on_one_piece_render_it_once(self, pilot_records, monkeypatch):
+        calls, workers = Counter(), 8  # more threads than cores
+        started = threading.Barrier(workers, timeout=10)
+        tag_utterance = prompting.tag_utterance
+
+        def slow_tag(record):
+            calls[record.id] += 1
+            time.sleep(0.01)  # the other threads miss meanwhile
+            return tag_utterance(record)
+
+        monkeypatch.setattr(prompting, "tag_utterance", slow_tag)
+        memo, records = PromptMemo(), pilot_records[:4]
+        texts = []
+
+        def render():
+            started.wait()
+            texts.append(tuple(memo.example_block("it", record) for record in records))
+
+        threads = [threading.Thread(target=render) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert calls == Counter(record.id for record in records)  # each rendered once
+        assert len(texts) == workers and len(set(texts)) == 1
 
 
 class TestGoldenPrompts:
