@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .constraints import Constraint, ConstraintError, parse_constraint
+from .constraints import Constraint, ConstraintError, parse_constraint, render_constraint
 from .errors import LineError, Pref2ConstraintError, json_lines, typed, typed_array
 
 SPAN_KINDS = ("time", "temperature")
@@ -60,6 +61,17 @@ class GoldRecord:
     spans: tuple[Span, ...]
     constraints: tuple[Constraint, ...]
     constraint_texts: tuple[str, ...]
+
+    # Rendered on first use and kept; not fields, so equality, hash and to_dict ignore them.
+    @cached_property
+    def tagged(self) -> str:
+        """The utterance with its preference spans tagged (``tag_utterance``)."""
+        return tag_utterance(self)
+
+    @cached_property
+    def canonical(self) -> tuple[str, ...]:
+        """The gold constraints in canonical form (``render_constraint``), in order."""
+        return tuple(render_constraint(c) for c in self.constraints)
 
     def to_dict(self) -> dict:
         return {

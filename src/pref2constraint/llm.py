@@ -35,7 +35,7 @@ from typing import BinaryIO, Callable, Iterable, Protocol
 from .dataset import GoldRecord
 from .errors import LineError, Pref2ConstraintError, json_lines, read_json_object, typed, typed_array
 from .prompting import (
-    MAX_FEW_SHOT, ExamplePool, PromptMemo, PromptSpec, ShotSetting, build_prompt, get_template,
+    MAX_FEW_SHOT, ExamplePool, PromptSpec, ShotSetting, build_prompt, get_template,
 )
 # Not called here: perfbench/tracing.py wraps llm.select_examples by name.
 from .prompting import select_examples  # noqa: F401
@@ -420,11 +420,12 @@ def _complete_all(
     """Complete each (rank, spec) item and append its line to ``out``.
 
     The calling thread and up to ``concurrency - 1`` helper threads each take
-    the next item from one shared iterator, render its prompt from the
-    examples in ``records`` (by id), complete it and queue its line.  So at
-    most ``concurrency`` rendered prompts are held at once, and the workers
-    share one ``PromptMemo``.
-    A worker that then gets the write lock without waiting writes and flushes
+    the next item from one shared iterator and, still holding the take lock,
+    render its prompt from the examples in ``records`` (by id).  So one
+    thread at a time fills a record's prompt pieces (``GoldRecord.tagged``,
+    ``.canonical``), each once, and at most ``concurrency`` rendered prompts
+    are held at once.  Each worker completes its item and queues its line;
+    one that then gets the write lock without waiting writes and flushes
     every queued line, so a finished line waits on no other request.  Returns
     the (rank, line) pairs in the order written and the (rank, failure) pairs
     of the items whose completion raised a ``BackendError``.  Any other
@@ -432,7 +433,6 @@ def _complete_all(
     another item, and is raised once they have all returned.
     """
     items = iter(work)
-    memo = PromptMemo()  # each example block and tagged target is rendered once per run
     take, write = threading.Lock(), threading.Lock()
     finished: queue.SimpleQueue[tuple[Rank, bytes]] = queue.SimpleQueue()
     written: list[tuple[Rank, bytes]] = []
@@ -459,11 +459,10 @@ def _complete_all(
             while not stop.is_set():
                 with take:
                     item = next(items, None)
-                if item is None:
-                    return
-                rank, spec = item
-                # Rendered outside the take lock, so workers build prompts side by side.
-                prompt = build_prompt(spec, [records[i] for i in spec.example_ids], memo=memo)
+                    if item is None:
+                        return
+                    rank, spec = item
+                    prompt = build_prompt(spec, [records[i] for i in spec.example_ids])
                 request = CompletionRequest(prompt, manifest.model_id, manifest.decoding)
                 try:
                     text = complete(backend, request).text
@@ -520,7 +519,8 @@ def run_experiment(
     and a resumed run ends with the bytes of a clean one.
     A manifest already next to the outputs must equal ``manifest`` but for
     its timestamp and dataset path (the dataset is compared by SHA-256), and
-    is kept; otherwise ``manifest`` is written first, a relative dataset path
+    for ``few_shot_k`` when neither has an ``fs`` shot, and is kept;
+    otherwise ``manifest`` is written first, a relative dataset path
     rewritten relative to the manifest's folder.
     """
     if concurrency < 1:
@@ -533,11 +533,14 @@ def run_experiment(
         )
     existing = read_manifest(outputs_path)
     if existing is not None:
+        # The dataset is compared by hash, and k matters only to a run with an fs shot.
+        ignored = {"dataset_path", "timestamp"}
+        if "fs" not in existing.shot_labels + manifest.shot_labels:
+            ignored.add("few_shot_k")
         differing = [
             f.name
             for f in fields(RunManifest)
-            if f.name not in ("dataset_path", "timestamp")  # the dataset is compared by hash
-            and getattr(existing, f.name) != getattr(manifest, f.name)
+            if f.name not in ignored and getattr(existing, f.name) != getattr(manifest, f.name)
         ]
         if differing:
             raise ManifestMismatchError(

@@ -13,6 +13,10 @@ side is empty after stripping; in an ``evaluate_run`` report the same counts
 give such an utterance 0.0, and ``corpus_chrf`` pools the counts of every
 scored line, blank sides included.
 
+A record's chrF reference is its canonical gold constraints joined by
+spaces (``gold_reference_string``).  The record renders them once and keeps
+them (``GoldRecord.canonical``): the lines its prompt example blocks show.
+
 Only n-grams of the reference can match, so matches are counted from the
 reference side.  ``reference_grams`` splits a reference's n-grams into those
 occurring once and those that repeat, once per record, and ``chrf_counts``
@@ -36,7 +40,7 @@ from operator import add
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .constraints import Constraint, extract_constraints, render_constraint
+from .constraints import Constraint, extract_constraints
 from .dataset import GoldRecord
 from .errors import LineError, Pref2ConstraintError
 # CorruptOutputsError lives in llm, which owns the run format, and is re-exported here.
@@ -241,7 +245,7 @@ class EvalReport:
 
 def gold_reference_string(record: GoldRecord) -> str:
     """Whitespace-joined canonical gold constraints, the chrF reference side."""
-    return " ".join(render_constraint(c) for c in record.constraints)
+    return " ".join(record.canonical)
 
 
 def evaluate_run(

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import threading
 from dataclasses import dataclass
 
-from .dataset import GoldRecord, resource_path, tag_utterance
-from .constraints import Constraint, render_constraint
+from .dataset import GoldRecord, resource_path
+from .constraints import Constraint
 from .errors import Pref2ConstraintError
 
 MAX_FEW_SHOT = 5
@@ -119,64 +118,29 @@ def get_template(template_id: str) -> PromptTemplate:
     )
 
 
-class PromptMemo:
-    """Prompt pieces rendered once and reused by later prompts of one run.
-
-    It keeps each record's tagged utterance and example block by record id,
-    so it is right only while every id names one record: build one per run
-    and drop it with the run.
-
-    The threads of a run share one memo.  A hit reads a dict without a
-    lock; a miss renders under one, re-checked, so two threads that miss on
-    one key still render it once.
-    """
-
-    def __init__(self) -> None:
-        self._tagged: dict[str, str] = {}  # record id -> tag_utterance(record)
-        self._blocks: dict[tuple[str, str], str] = {}  # (template id, record id) -> block
-        self._filling = threading.RLock()  # example_block fills a tagged utterance while held
-
-    def tagged(self, record: GoldRecord) -> str:
-        if record.id not in self._tagged:
-            with self._filling:
-                if record.id not in self._tagged:
-                    self._tagged[record.id] = tag_utterance(record)
-        return self._tagged[record.id]
-
-    def example_block(self, template_id: str, record: GoldRecord) -> str:
-        key = template_id, record.id
-        if key not in self._blocks:
-            with self._filling:
-                if key not in self._blocks:
-                    template = get_template(template_id)
-                    lines = [f"{template.example_label} {self.tagged(record)}", template.constraints_label]
-                    lines.extend(render_constraint(c) for c in record.constraints)
-                    self._blocks[key] = "\n".join(lines)
-        return self._blocks[key]
-
-
-def build_prompt(
-    spec: PromptSpec, dataset: list[GoldRecord], *, memo: PromptMemo | None = None
-) -> str:
+def build_prompt(spec: PromptSpec, dataset: list[GoldRecord]) -> str:
     """Assemble the prompt for a spec; identical inputs give identical bytes.
 
-    ``memo`` holds the pieces that earlier prompts of the same run rendered.
+    Each record renders its tagged utterance and canonical gold constraints
+    once (``GoldRecord.tagged``, ``GoldRecord.canonical``), so later prompts
+    that show it reuse them.
     """
     template = get_template(spec.template_id)
-    memo = PromptMemo() if memo is None else memo
     by_id = {record.id: record for record in dataset}
     blocks = []
     for example_id in spec.example_ids:
         if example_id not in by_id:
             raise UnknownExampleError(f"example id {example_id!r} not in dataset")
-        blocks.append(memo.example_block(spec.template_id, by_id[example_id]))
+        example = by_id[example_id]
+        head = f"{template.example_label} {example.tagged}\n{template.constraints_label}"
+        blocks.append("\n".join((head, *example.canonical)))
     if blocks:
         old, new = EXAMPLES, "\n\n".join(blocks)
     else:  # drop the examples header, the placeholder and the blank line after them
         old, new = f"{template.examples_header}\n{EXAMPLES}\n\n", ""
     # Fill each piece between target placeholders, so no utterance is read as a placeholder.
     pieces = (piece.replace(old, new) for piece in template.text.split(TARGET))
-    return memo.tagged(spec.target).join(pieces)
+    return spec.target.tagged.join(pieces)
 
 
 class ExamplePool:

@@ -179,6 +179,15 @@ class TestTagging:
         record = next(r for r in pilot_records if any(s.kind == "temperature" for s in r.spans))
         assert '<pref type="temp">' in tag_utterance(record)
 
+    def test_rendered_pieces_are_kept_apart_from_the_fields(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        write_jsonl(path, [SAMPLE_RECORD])
+        record, fresh = load_dataset(path)[0], load_dataset(path)[0]
+        assert record.tagged == tag_utterance(record)
+        assert record.canonical == ("s_t = 1 ∀ 07:00 ≤ t ≤ 08:30",)
+        assert record == fresh and hash(record) == hash(fresh)
+        assert record.to_dict() == fresh.to_dict() == SAMPLE_RECORD
+
 
 class TestPilotCorpus:
     def test_shape(self, pilot_records):

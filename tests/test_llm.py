@@ -8,14 +8,20 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
-from pref2constraint import llm, prompting
-from pref2constraint.dataset import dump_dataset, mock_fixtures_path, pilot_corpus_path
+from pref2constraint import dataset, llm, prompting
+from pref2constraint.dataset import (
+    dump_dataset,
+    load_dataset,
+    mock_fixtures_path,
+    pilot_corpus_path,
+)
 from pref2constraint.llm import (
     AuthError,
     CompletionRequest,
@@ -39,6 +45,7 @@ from pref2constraint.llm import (
     run_experiment,
 )
 from pref2constraint.metrics import CorruptOutputsError, evaluate_run
+from pref2constraint.prompting import MAX_FEW_SHOT, ExamplePool
 
 MOCK_FIXTURES = {prompt_digest("ciao"): "risposta fissa"}
 
@@ -621,21 +628,45 @@ class TestRunExperiment:
         assert outputs.read_bytes() == clean.read_bytes()
 
     def test_each_piece_of_a_prompt_is_rendered_once_per_run(
-        self, pilot_manifest, pilot_records, tmp_path, monkeypatch
+        self, pilot_manifest, tmp_path, monkeypatch
     ):
-        tagged = []
-        tag_utterance = prompting.tag_utterance
+        tagged, rendered = Counter(), Counter()
+        tag_utterance, render_constraint = dataset.tag_utterance, dataset.render_constraint
 
-        def counted(record):
-            tagged.append(record.id)
+        def counted_tag(record):
+            tagged[record.id] += 1
+            time.sleep(0.001)  # the other workers run meanwhile
             return tag_utterance(record)
 
-        monkeypatch.setattr(prompting, "tag_utterance", counted)
-        ids = sorted(record.id for record in pilot_records)
-        for name in ("a.jsonl", "b.jsonl"):  # no piece is kept from one run to the next
+        def counted_render(constraint):
+            rendered[constraint] += 1
+            time.sleep(0.001)
+            return render_constraint(constraint)
+
+        monkeypatch.setattr(dataset, "tag_utterance", counted_tag)
+        monkeypatch.setattr(dataset, "render_constraint", counted_render)
+        for name in ("a.jsonl", "b.jsonl"):  # a fresh load renders every piece again
+            records = load_dataset(pilot_corpus_path())
             tagged.clear()
-            run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), tmp_path / name)
-            assert sorted(tagged) == ids
+            rendered.clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # threads switch as often as the interpreter allows
+            try:
+                summary = run_experiment(
+                    pilot_manifest, records, shipped_mock_backend(), tmp_path / name, concurrency=8
+                )
+            finally:
+                sys.setswitchinterval(interval)
+            assert summary.completed == 78 and not summary.failures
+            assert tagged == Counter(record.id for record in records)
+            pool = ExamplePool(records, pilot_manifest.seed)
+            examples = {i for record in records for i in pool.select(record.id, MAX_FEW_SHOT)}
+            by_id = {record.id: record for record in records}
+            assert rendered == Counter(c for i in examples for c in by_id[i].constraints)
+        tagged.clear()
+        copy = replace(records[0], text=records[0].text.upper())  # keeps none of its source's pieces
+        assert copy.tagged == copy.tagged == tag_utterance(copy) != records[0].tagged
+        assert tagged == Counter({copy.id: 1})
 
     def test_each_prompt_is_built_just_before_it_is_sent(
         self, pilot_manifest, pilot_records, tmp_path, monkeypatch
@@ -692,6 +723,26 @@ class TestRunExperiment:
         other = replace(zero_shot, model_id="other-model", seed=7)
         with pytest.raises(ManifestMismatchError, match=r"differing fields: model_id, seed\)$"):
             run_experiment(other, pilot_records, shipped_mock_backend(), outputs)
+
+    def test_few_shot_k_is_compared_only_when_a_shot_uses_it(
+        self, pilot_manifest, pilot_records, tmp_path
+    ):
+        outputs = tmp_path / "zero.jsonl"
+        zero_shot = replace(pilot_manifest, shot_labels=("0s",), few_shot_k=9)
+        run_experiment(zero_shot, pilot_records, shipped_mock_backend(), outputs)
+        first = manifest_path_for(outputs).read_bytes()
+        summary = run_experiment(
+            replace(zero_shot, few_shot_k=5), pilot_records, shipped_mock_backend(), outputs
+        )
+        assert summary.skipped == 26 and summary.completed == 0
+        assert manifest_path_for(outputs).read_bytes() == first
+        outputs = tmp_path / "few.jsonl"
+        few_shot = replace(pilot_manifest, shot_labels=("0s", "fs"), few_shot_k=5)
+        run_experiment(few_shot, pilot_records, shipped_mock_backend(), outputs)
+        with pytest.raises(ManifestMismatchError, match=r"differing fields: few_shot_k\)$"):
+            run_experiment(
+                replace(few_shot, few_shot_k=3), pilot_records, shipped_mock_backend(), outputs
+            )
 
     def test_resume_accepts_the_same_dataset_under_another_path(
         self, pilot_manifest, pilot_records, tmp_path, monkeypatch

@@ -1,8 +1,5 @@
 import hashlib
 import random
-import sys
-import threading
-import time
 from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
@@ -10,15 +7,14 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import draw_oracle
-from pref2constraint import prompting
+from pref2constraint import dataset, prompting
 from pref2constraint.constraints import parse_constraint
-from pref2constraint.dataset import GoldRecord, resource_path
+from pref2constraint.dataset import GoldRecord, load_pilot_corpus, resource_path
 from pref2constraint.prompting import (
     MAX_FEW_SHOT,
     ExamplePool,
     InsufficientDataError,
     LeakageError,
-    PromptMemo,
     PromptSpec,
     PromptingError,
     ShotSetting,
@@ -335,17 +331,23 @@ class TestExamplePool:
         assert len(digests) <= 1.2 * 5 * len(corpus)
 
 
-class TestPromptMemo:
-    def test_each_piece_is_rendered_once_with_the_same_bytes(self, pilot_records, monkeypatch):
+class TestRecordPieces:
+    def test_each_piece_is_rendered_once_with_the_same_bytes(self, monkeypatch):
+        records = load_pilot_corpus()  # fresh records: those of the shared fixture keep their pieces
         specs = [
-            spec_for(pilot_records, record.id, ShotSetting(n), template=template)
+            spec_for(records, record.id, ShotSetting(n), template=template)
             for template in TEMPLATE_IDS
-            for record in pilot_records
+            for record in records
             for n in (0, 1, MAX_FEW_SHOT)
         ]
-        plain = [build_prompt(spec, pilot_records) for spec in specs]
+
+        def plain(spec):  # every piece rendered anew, on copies that keep nothing
+            copies = [replace(record) for record in records]
+            return build_prompt(replace(spec, target=replace(spec.target)), copies)
+
+        plain_prompts = [plain(spec) for spec in specs]
         tagged, rendered = Counter(), Counter()
-        tag_utterance, render_constraint = prompting.tag_utterance, prompting.render_constraint
+        tag_utterance, render_constraint = dataset.tag_utterance, dataset.render_constraint
 
         def counted_tag(record):
             tagged[record.id] += 1
@@ -355,52 +357,14 @@ class TestPromptMemo:
             rendered[constraint] += 1
             return render_constraint(constraint)
 
-        monkeypatch.setattr(prompting, "tag_utterance", counted_tag)
-        monkeypatch.setattr(prompting, "render_constraint", counted_render)
-        memo = PromptMemo()
-        assert [build_prompt(spec, pilot_records, memo=memo) for spec in specs] == plain
-        assert tagged == Counter({record.id: 1 for record in pilot_records})
-        # One block per (template, example record): each gold constraint once per template.
-        examples = {
-            (spec.template_id, example_id) for spec in specs for example_id in spec.example_ids
-        }
-        by_id = {record.id: record for record in pilot_records}
-        expected = Counter(
-            constraint for _, example_id in examples for constraint in by_id[example_id].constraints
-        )
-        assert rendered == expected
-
-    def test_threads_that_miss_on_one_piece_render_it_once(self, pilot_records, monkeypatch):
-        calls, workers = Counter(), 8  # more threads than cores
-        started = threading.Barrier(workers, timeout=10)
-        tag_utterance = prompting.tag_utterance
-
-        def slow_tag(record):
-            calls[record.id] += 1
-            time.sleep(0.01)  # the other threads miss meanwhile
-            return tag_utterance(record)
-
-        monkeypatch.setattr(prompting, "tag_utterance", slow_tag)
-        memo, records = PromptMemo(), pilot_records[:4]
-        texts = []
-
-        def render():
-            started.wait()
-            texts.append(tuple(memo.example_block("it", record) for record in records))
-
-        threads = [threading.Thread(target=render) for _ in range(workers)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert calls == Counter(record.id for record in records)  # each rendered once
-        assert len(texts) == workers and len(set(texts)) == 1
+        monkeypatch.setattr(dataset, "tag_utterance", counted_tag)
+        monkeypatch.setattr(dataset, "render_constraint", counted_render)
+        assert [build_prompt(spec, records) for spec in specs] == plain_prompts
+        assert tagged == Counter({record.id: 1 for record in records})
+        # Each example record renders its gold constraints once, for every template.
+        by_id = {record.id: record for record in records}
+        examples = {example_id for spec in specs for example_id in spec.example_ids}
+        assert rendered == Counter(c for i in examples for c in by_id[i].constraints)
 
 
 class TestGoldenPrompts:
