@@ -17,9 +17,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pref2constraint.dataset import load_pilot_corpus, mock_fixtures_path, pilot_corpus_path  # noqa: E402
-from pref2constraint.llm import MockBackend, RunManifest, run_experiment  # noqa: E402
+from pref2constraint.llm import MockBackend, run_experiment  # noqa: E402
 from pref2constraint.metrics import evaluate_run, reports_to_json  # noqa: E402
 from pref2constraint.prompting import SHOT_LABELS, ExamplePool, PromptSpec, ShotSetting, build_prompt  # noqa: E402
+from pref2constraint.runfile import RunManifest  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "goldens"
 

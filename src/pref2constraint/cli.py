@@ -24,19 +24,7 @@ from .constraints import canonicalize, parse_constraint
 from .dataset import GoldRecord, load_dataset, mock_fixtures_path, pilot_corpus_path, tag_utterance
 from .errors import Pref2ConstraintError
 from .grounding import Horizon, ground
-from .llm import (
-    DEFAULT_CONCURRENCY,
-    ConfigError,
-    DecodingConfig,
-    ManifestMismatchError,
-    MockBackend,
-    OpenAICompatBackend,
-    RunManifest,
-    file_sha256,
-    manifest_path_for,
-    read_manifest,
-    run_experiment,
-)
+from .llm import DEFAULT_CONCURRENCY, MockBackend, OpenAICompatBackend, run_experiment
 from .metrics import evaluate_run, render_table, reports_to_json
 from .prompting import (
     DEFAULT_TEMPLATE_ID,
@@ -47,6 +35,7 @@ from .prompting import (
     ShotSetting,
     build_prompt,
 )
+from .runfile import ConfigError, DecodingConfig, RunManifest, find_corpus, read_manifest
 from .scheduler import ScheduleProblem, check_functional, solve
 
 ENV_PREFIX = "PREF2CONSTRAINT"
@@ -207,21 +196,7 @@ def _gold_path(args: argparse.Namespace) -> Path:
     if args.gold:
         return Path(args.gold)
     manifest = read_manifest(args.outputs)
-    if manifest is None:
-        return pilot_corpus_path()
-    recorded = Path(manifest.dataset_path)
-    # A relative path is read from the manifest's folder, then, as older runs wrote it,
-    # from the current directory; the first candidate with the run's hash is the corpus.
-    candidates = list(dict.fromkeys([manifest_path_for(args.outputs).parent / recorded, recorded]))
-    found = [path for path in candidates if path.is_file()]
-    for path in found:
-        if file_sha256(path) == manifest.dataset_sha256:
-            return path
-    path, fault = (found[0], "changed since the run") if found else (candidates[0], "is missing")
-    raise ManifestMismatchError(
-        f"{manifest_path_for(args.outputs)}: dataset file {path} {fault}; "
-        "pass --gold to name the gold corpus"
-    )
+    return pilot_corpus_path() if manifest is None else find_corpus(args.outputs, manifest)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

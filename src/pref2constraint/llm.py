@@ -6,39 +6,38 @@ of the prompt.  The mock makes the whole pipeline runnable offline and
 bit-reproducible, and doubles as a golden-prompt tripwire: any prompt
 drift shows up as a missing fixture digest.
 
-``run_experiment`` walks dataset × shot settings, appends one JSONL line
-per completion ({record_id, shot, prompt_digest, response_text}) as soon
-as it returns, skips pairs already present in the outputs file, and keeps
-a manifest next to the outputs.  Until the run ends the lines are in
-completion order, so a killed run keeps every finished line; a run that
-ends puts the file in canonical order (corpus record order, then manifest
-shot order).  A failed completion is recorded and skipped; it never aborts
-the remaining items.  Resume and evaluation read the run back through
-``parse_outputs`` (evaluation by way of ``read_outputs``) and
-``read_manifest``: only this module knows its format.
+``run_experiment`` walks dataset × shot settings, appends one outputs line
+per completion as soon as it returns, skips pairs already present in the
+outputs file, and keeps a manifest next to the outputs (``runfile`` owns
+both formats).  Until the run ends the lines are in completion order, so a
+killed run keeps every finished line; a run that ends puts the file in
+canonical order (corpus record order, then manifest shot order).  A failed
+completion is recorded and skipped; it never aborts the remaining items.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import queue
 import threading
 import time
-from dataclasses import asdict, dataclass, field, fields
-from datetime import datetime, timezone
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Protocol
+from typing import BinaryIO, Callable, Protocol
 
 from .dataset import GoldRecord
-from .errors import LineError, Pref2ConstraintError, json_lines, read_json_object, typed, typed_array
-from .prompting import (
-    MAX_FEW_SHOT, ExamplePool, PromptSpec, ShotSetting, build_prompt, get_template,
+from .errors import Pref2ConstraintError, read_json_object, typed
+from .prompting import ExamplePool, PromptSpec, build_prompt, get_template
+from .runfile import (
+    ConfigError, DecodingConfig, ManifestMismatchError, OutputsLine, RunManifest,
+    differing_fields, file_sha256, read_manifest, resume, write_manifest,
 )
-# Not called here: perfbench/tracing.py wraps llm.select_examples by name.
+# Not called here: perfbench/tracing.py wraps llm.select_examples by name, and
+# perfbench/workloads.py imports llm.manifest_path_for.
 from .prompting import select_examples  # noqa: F401
+from .runfile import manifest_path_for  # noqa: F401
 
 
 DEFAULT_CONCURRENCY = 4  # threads completing requests in run_experiment, the calling one included
@@ -72,40 +71,6 @@ class MalformedBackendReply(BackendError):
 
 class MockMissError(BackendError):
     """The mock has no fixture for this prompt digest (prompt drift?)."""
-
-
-class ManifestMismatchError(Pref2ConstraintError):
-    pass
-
-
-class CorruptManifestError(Pref2ConstraintError):
-    pass
-
-
-class ConfigError(Pref2ConstraintError, ValueError):
-    pass
-
-
-class CorruptOutputsError(LineError, ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class DecodingConfig:
-    temperature: float = 0.1
-    top_k: int = 20
-    top_p: float = 0.9
-    max_new_tokens: int = 30
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ConfigError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if not 0 < self.top_p <= 1:
-            raise ConfigError("top_p must be in (0, 1]")
-        if self.top_k < 0:
-            raise ConfigError("top_k must be >= 0")
-        if self.max_new_tokens < 1:
-            raise ConfigError("max_new_tokens must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -237,89 +202,6 @@ def complete(
     return backend.send(request)
 
 
-def file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    dataset_path: str
-    dataset_sha256: str
-    template_id: str
-    shot_labels: tuple[str, ...]
-    few_shot_k: int
-    model_id: str
-    decoding: DecodingConfig
-    seed: int
-    timestamp: str
-
-    def __post_init__(self) -> None:
-        if not self.shot_labels:
-            raise ConfigError("shot labels must not be empty")
-        if len(set(self.shot_labels)) != len(self.shot_labels):
-            raise ConfigError(f"shot labels must not repeat, got {','.join(self.shot_labels)}")
-        for label in self.shot_labels:  # an unknown label, or fs with k outside 2..5, raises
-            ShotSetting.from_label(label, self.few_shot_k)
-
-    @classmethod
-    def create(
-        cls,
-        dataset_path: str | Path,
-        template_id: str,
-        shot_labels: tuple[str, ...],
-        model_id: str,
-        decoding: DecodingConfig = DecodingConfig(),
-        seed: int = 0,
-        few_shot_k: int = MAX_FEW_SHOT,
-    ) -> "RunManifest":
-        return cls(
-            dataset_path=str(dataset_path),
-            dataset_sha256=file_sha256(dataset_path),
-            template_id=template_id,
-            shot_labels=tuple(shot_labels),
-            few_shot_k=few_shot_k,
-            model_id=model_id,
-            decoding=decoding,
-            seed=seed,
-            timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        )
-
-    @property
-    def shots(self) -> tuple[ShotSetting, ...]:
-        return tuple(
-            ShotSetting.from_label(label, self.few_shot_k) for label in self.shot_labels
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunManifest":
-        # Every field is read before any is checked, so a KeyError names the first missing one.
-        values = {f.name: data[f.name] for f in fields(cls)}
-        decoding = typed(values, "decoding", "object")
-        unknown = [name for name in decoding if name not in DecodingConfig.__dataclass_fields__]
-        if unknown:
-            raise ValueError(f"unknown field {unknown[0]!r}")
-        kinds = {"str": "string", "int": "integer", "float": "number"}  # annotations are strings
-        return cls(
-            **{f.name: typed(values, f.name, kinds[f.type]) for f in fields(cls) if f.type in kinds},
-            shot_labels=tuple(typed_array(values, "shot_labels", "string")),
-            decoding=DecodingConfig(
-                **{f.name: typed(decoding, f.name, kinds[f.type]) for f in fields(DecodingConfig)}
-            ),
-        )
-
-
-def manifest_path_for(outputs_path: str | Path) -> Path:
-    outputs_path = Path(outputs_path)
-    return outputs_path.with_name(outputs_path.stem + ".manifest.json")
-
-
 @dataclass(frozen=True)
 class RunFailure:
     record_id: str
@@ -333,77 +215,6 @@ class RunSummary:
     skipped: int = 0
     failures: list[RunFailure] = field(default_factory=list)
     dropped_tail: str = ""  # unterminated last line cut from the outputs file
-
-
-def read_manifest(outputs_path: str | Path) -> RunManifest | None:
-    """The manifest kept next to an outputs file, or None if there is none."""
-    manifest_file = manifest_path_for(outputs_path)
-    if not manifest_file.exists():
-        return None
-    return read_json_object(manifest_file, CorruptManifestError, RunManifest.from_dict)
-
-
-def _outputs_row(data: dict) -> tuple[str, str, str, str]:
-    return (
-        typed(data, "record_id", "string"),
-        typed(data, "shot", "string"),
-        typed(data, "prompt_digest", "string"),
-        typed(data, "response_text", "string"),
-    )
-
-
-def parse_outputs(lines: Iterable[bytes]) -> dict[tuple[str, str], tuple[int, str]]:
-    """{(record_id, shot): (line number, response_text)} of outputs lines, in order.
-
-    Blank lines are skipped.  The first line that is not a UTF-8 JSON object
-    with string ``record_id``, ``shot``, ``prompt_digest`` and
-    ``response_text``, or that repeats a (record, shot) pair, raises
-    CorruptOutputsError.
-    """
-    rows: dict[tuple[str, str], tuple[int, str]] = {}
-    for line_number, (record_id, shot, _, text) in json_lines(lines, CorruptOutputsError, _outputs_row):
-        if (record_id, shot) in rows:
-            raise CorruptOutputsError(
-                f"duplicate row for record {record_id!r}, shot {shot!r}", line_number
-            )
-        rows[record_id, shot] = line_number, text
-    return rows
-
-
-def read_outputs(outputs_path: str | Path) -> dict[tuple[str, str], tuple[int, str]]:
-    """``parse_outputs`` of an outputs file, less a torn last line.
-
-    A run killed mid-write leaves an unterminated fragment as the last line.
-    An unterminated last line that is not UTF-8 JSON is such a fragment and
-    is left out; one that is JSON is read like any other line.
-    """
-    with open(outputs_path, "rb") as handle:
-        lines = handle.readlines()
-    if lines and not lines[-1].endswith(b"\n"):
-        try:
-            json.loads(lines[-1].decode("utf-8"))
-        except ValueError:  # UnicodeDecodeError is one too
-            lines.pop()
-    return parse_outputs(lines)
-
-
-def _resume(outputs_path: Path) -> tuple[dict[tuple[str, str], bytes], str]:
-    """{(record_id, shot): line} already in the outputs file, in file order, and
-    the torn last line cut from it.
-
-    A run killed mid-write leaves an unterminated last line.  Once the lines
-    before it parse, it is cut off, so its pair is completed again and new
-    lines are not appended to the fragment.
-    """
-    if not outputs_path.exists():
-        return {}, ""
-    with open(outputs_path, "rb+") as handle:
-        lines = handle.readlines()
-        torn = lines.pop() if lines and not lines[-1].endswith(b"\n") else b""
-        done = {pair: lines[number - 1] for pair, (number, _) in parse_outputs(lines).items()}
-        if torn:
-            handle.truncate(handle.tell() - len(torn))
-    return done, torn.decode("utf-8", errors="replace")
 
 
 Rank = tuple[int, int]  # (record position in the corpus, shot position in the manifest)
@@ -469,13 +280,9 @@ def _complete_all(
                 except BackendError as exc:
                     failures.append((rank, RunFailure(spec.target.id, spec.shot.label, str(exc))))
                     continue
-                line = {
-                    "record_id": spec.target.id,
-                    "shot": spec.shot.label,
-                    "prompt_digest": prompt_digest(prompt),
-                    "response_text": text,
-                }
-                finished.put((rank, (json.dumps(line, ensure_ascii=False) + "\n").encode("utf-8")))
+                line = OutputsLine(spec.target.id, spec.shot.label, prompt_digest(prompt), text)
+                encoded = (json.dumps(line._asdict(), ensure_ascii=False) + "\n").encode("utf-8")
+                finished.put((rank, encoded))
                 write_finished()
         except BaseException as exc:  # raised by the calling thread once every worker returned
             stop.set()
@@ -517,11 +324,9 @@ def run_experiment(
     in canonical order: corpus record order, then manifest shot order.  So
     reruns with the mock backend are byte-reproducible at any concurrency,
     and a resumed run ends with the bytes of a clean one.
-    A manifest already next to the outputs must equal ``manifest`` but for
-    its timestamp and dataset path (the dataset is compared by SHA-256), and
-    for ``few_shot_k`` when neither has an ``fs`` shot, and is kept;
-    otherwise ``manifest`` is written first, a relative dataset path
-    rewritten relative to the manifest's folder.
+    A manifest already next to the outputs is kept if ``differing_fields``
+    finds none, and refused otherwise; if there is none, ``manifest`` is
+    written first (``write_manifest``).
     """
     if concurrency < 1:
         raise ConfigError(f"concurrency must be >= 1, got {concurrency}")
@@ -532,26 +337,17 @@ def run_experiment(
             f"dataset file {manifest.dataset_path} changed since the manifest was built"
         )
     existing = read_manifest(outputs_path)
-    if existing is not None:
-        # The dataset is compared by hash, and k matters only to a run with an fs shot.
-        ignored = {"dataset_path", "timestamp"}
-        if "fs" not in existing.shot_labels + manifest.shot_labels:
-            ignored.add("few_shot_k")
-        differing = [
-            f.name
-            for f in fields(RunManifest)
-            if f.name not in ignored and getattr(existing, f.name) != getattr(manifest, f.name)
-        ]
-        if differing:
-            raise ManifestMismatchError(
-                f"{outputs_path} was run with another configuration "
-                f"(differing fields: {', '.join(differing)})"
-            )
+    differing = differing_fields(existing, manifest) if existing else []
+    if differing:
+        raise ManifestMismatchError(
+            f"{outputs_path} was run with another configuration "
+            f"(differing fields: {', '.join(differing)})"
+        )
     # A repeated id or unknown template fails before anything is written.
     examples = ExamplePool(records, manifest.seed)
     shots = manifest.shots
     get_template(manifest.template_id)
-    done, dropped_tail = _resume(outputs_path)
+    done, dropped_tail = resume(outputs_path)
     summary = RunSummary(skipped=len(done), dropped_tail=dropped_tail)
 
     # Examples are drawn and each spec checked here, before anything is written;
@@ -567,13 +363,7 @@ def run_experiment(
 
     outputs_path.parent.mkdir(parents=True, exist_ok=True)
     if existing is None:
-        manifest_file = manifest_path_for(outputs_path)
-        written = manifest.to_dict()
-        if not Path(manifest.dataset_path).is_absolute():  # so it resolves from any directory
-            written["dataset_path"] = os.path.relpath(manifest.dataset_path, manifest_file.parent)
-        with open(manifest_file, "w", encoding="utf-8") as handle:
-            json.dump(written, handle, ensure_ascii=False, indent=2)
-            handle.write("\n")
+        write_manifest(manifest, outputs_path)
     with open(outputs_path, "ab") as out:
         appended, failures = _complete_all(work, manifest, examples.records, backend, out, concurrency)
     summary.completed = len(appended)

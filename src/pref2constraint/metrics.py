@@ -43,8 +43,7 @@ from typing import Iterable, Sequence
 from .constraints import Constraint, extract_constraints
 from .dataset import GoldRecord
 from .errors import LineError, Pref2ConstraintError
-# CorruptOutputsError lives in llm, which owns the run format, and is re-exported here.
-from .llm import CorruptOutputsError, read_manifest, read_outputs  # noqa: F401
+from .runfile import read_manifest, read_outputs
 
 
 class MetricsError(Pref2ConstraintError):
@@ -271,10 +270,10 @@ def evaluate_run(
     responses: dict[str, dict[str, str]] = {}  # record_id -> shot -> response
     # shot -> record_id -> score, keys in file order, values filled in record by record
     scored: dict[str, dict[str, UtteranceScore | None]] = {}
-    for (record_id, shot), (line_number, text) in read_outputs(outputs_path).items():
+    for (record_id, shot), (line_number, line) in read_outputs(outputs_path).items():
         if record_id not in by_id:
             raise MissingGoldError(f"record id {record_id!r} not in gold dataset", line_number)
-        responses.setdefault(record_id, {})[shot] = text
+        responses.setdefault(record_id, {})[shot] = line.response_text
         scored.setdefault(shot, {})[record_id] = None
 
     # Record by record, so each gold reference is rendered and counted once.

@@ -30,7 +30,7 @@ from pref2constraint.constraints import (
 )
 from pref2constraint.dataset import load_pilot_corpus, pilot_corpus_path
 from pref2constraint.grounding import ConflictError, GroundedAssignment, Horizon, ground
-from pref2constraint.llm import MockBackend, RunManifest, run_experiment
+from pref2constraint.llm import MockBackend, run_experiment
 from pref2constraint.metrics import (
     acc_conditions,
     acc_variables,
@@ -40,6 +40,7 @@ from pref2constraint.metrics import (
     reports_to_json,
 )
 from pref2constraint.prompting import PromptSpec, ShotSetting, build_prompt, get_template, select_examples
+from pref2constraint.runfile import RunManifest
 from pref2constraint.scheduler import Appliance, InfeasibleError, ScheduleProblem, solve
 
 from oracles import chrf_oracle, ground_oracle, schedule_oracle

@@ -6,8 +6,9 @@ import pytest
 
 from pref2constraint.cli import build_parser, main
 from pref2constraint.dataset import pilot_corpus_path
-from pref2constraint.llm import DecodingConfig, RunManifest, manifest_path_for, run_experiment
+from pref2constraint.llm import run_experiment
 from pref2constraint.prompting import MAX_FEW_SHOT
+from pref2constraint.runfile import DecodingConfig, RunManifest, manifest_path_for
 
 
 def run_cli(capsys, *argv):

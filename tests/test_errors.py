@@ -13,17 +13,17 @@ from pref2constraint.errors import (
     typed,
     typed_array,
 )
-from pref2constraint.llm import (
+from pref2constraint.llm import MockBackend
+from pref2constraint.metrics import MissingGoldError
+from pref2constraint.runfile import (
     ConfigError,
     CorruptManifestError,
     CorruptOutputsError,
-    MockBackend,
     RunManifest,
     manifest_path_for,
     parse_outputs,
     read_manifest,
 )
-from pref2constraint.metrics import MissingGoldError
 from pref2constraint.scheduler import ScheduleProblem, SchedulerError
 
 

@@ -26,26 +26,31 @@ from pref2constraint.llm import (
     AuthError,
     CompletionRequest,
     CompletionTimeoutError,
-    ConfigError,
-    CorruptManifestError,
-    DecodingConfig,
     MalformedBackendReply,
-    ManifestMismatchError,
     MockBackend,
     MockMissError,
     ModelResponse,
     OpenAICompatBackend,
     RateLimitedError,
-    RunManifest,
     ServerError,
     complete,
-    manifest_path_for,
     prompt_digest,
-    read_manifest,
     run_experiment,
 )
-from pref2constraint.metrics import CorruptOutputsError, evaluate_run
-from pref2constraint.prompting import MAX_FEW_SHOT, ExamplePool
+from pref2constraint.metrics import evaluate_run
+from pref2constraint.prompting import MAX_FEW_SHOT, ExamplePool, PromptSpec, ShotSetting, build_prompt
+from pref2constraint.runfile import (
+    ConfigError,
+    CorruptManifestError,
+    CorruptOutputsError,
+    DecodingConfig,
+    ManifestMismatchError,
+    OutputsLine,
+    RunManifest,
+    manifest_path_for,
+    parse_outputs,
+    read_manifest,
+)
 
 MOCK_FIXTURES = {prompt_digest("ciao"): "risposta fissa"}
 
@@ -329,6 +334,22 @@ def test_cli_import_loads_no_http_library():
     assert result.stdout == "[]\n"
 
 
+@pytest.mark.parametrize(
+    "module,unused",
+    [("pref2constraint", "pref2constraint."), ("pref2constraint.metrics", "pref2constraint.llm")],
+    ids=["package", "metrics"],
+)
+def test_an_import_loads_no_module_it_does_not_use(module, unused):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith({unused!r})))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 VALID_ROW = {"record_id": "u01", "shot": "0s", "prompt_digest": "x", "response_text": "y"}
 
 # A run whose backend kills the process at completion k, once the outputs
@@ -337,7 +358,8 @@ DYING_RUN = """
 import os, sys, time
 from pathlib import Path
 from pref2constraint.dataset import load_pilot_corpus, mock_fixtures_path, pilot_corpus_path
-from pref2constraint.llm import MockBackend, RunManifest, run_experiment
+from pref2constraint.llm import MockBackend, run_experiment
+from pref2constraint.runfile import RunManifest
 
 outputs, kill_at = Path(sys.argv[1]), int(sys.argv[2])
 
@@ -413,6 +435,19 @@ class TestRunExperiment:
         assert all(line["record_id"] in ids for line in lines)
         assert all(set(line) == {"record_id", "shot", "prompt_digest", "response_text"} for line in lines)
 
+    def test_a_written_line_reads_back_whole(self, pilot_records, tmp_path):
+        manifest = RunManifest.create(pilot_corpus_path(), "it", ("1s",), "mock-model")
+        outputs = tmp_path / "run.jsonl"
+        run_experiment(manifest, pilot_records, shipped_mock_backend(), outputs)
+        pool = ExamplePool(pilot_records, 0)
+        example_ids = tuple(pool.select("u01", 1))
+        spec = PromptSpec("it", ShotSetting.from_label("1s"), example_ids, pool.records["u01"])
+        digest = prompt_digest(build_prompt(spec, [pool.records[i] for i in example_ids]))
+        text = json.loads(mock_fixtures_path().read_text("utf-8"))[digest]
+        rows = parse_outputs(outputs.read_bytes().splitlines(keepends=True))
+        assert rows["u01", "1s"] == (1, OutputsLine("u01", "1s", digest, text))
+        assert all(type(line) is OutputsLine for _, line in rows.values())
+
     def test_resume_skips_existing(self, pilot_manifest, pilot_records, tmp_path):
         outputs = tmp_path / "run.jsonl"
         run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
@@ -447,8 +482,10 @@ class TestRunExperiment:
              "'prompt_digest' must be a string, got null"),
             ({"record_id": "u02", "shot": "0s", "response_text": "y"},
              "missing field 'prompt_digest'"),
+            # Each field is looked up and type-checked before the next is looked up.
+            ({"record_id": 5}, "'record_id' must be a string, got 5"),
         ],
-        ids=["null", "missing"],
+        ids=["null", "missing", "mistyped-before-missing"],
     )
     def test_resume_and_eval_refuse_a_line_without_a_prompt_digest(
         self, pilot_manifest, pilot_records, tmp_path, row, named

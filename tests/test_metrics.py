@@ -7,13 +7,12 @@ from hypothesis import example, given, strategies as st
 
 from pref2constraint.constraints import extract_constraints, parse_constraint
 from pref2constraint.dataset import GoldRecord, mock_fixtures_path, pilot_corpus_path
-from pref2constraint.llm import MockBackend, RunManifest, run_experiment
+from pref2constraint.llm import MockBackend, run_experiment
 from pref2constraint.metrics import (
     EmptyInputError,
     EvalReport,
     MissingGoldError,
     MissingRecordError,
-    CorruptOutputsError,
     TABLE_COLUMNS,
     _combine,
     _match_counts,
@@ -28,6 +27,7 @@ from pref2constraint.metrics import (
     reports_to_json,
 )
 from pref2constraint.prompting import SHOT_LABELS
+from pref2constraint.runfile import CorruptOutputsError, RunManifest
 
 from oracles import chrf_counts_oracle, chrf_oracle, match_counts_oracle
 from reference_rows import REFERENCE_BASELINE_ROWS
