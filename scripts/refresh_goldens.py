@@ -2,10 +2,11 @@
 """Regenerate the golden files under tests/goldens/.
 
 Covers the three prompt goldens (zero/one/few-shot for target u01, seed 0,
-Italian template) and the end-to-end evaluation report produced by the
-mock-backend run over the shipped pilot corpus.  Rerun after any
-deliberate change to templates, corpus, fixtures, or report format, and
-review the diff before committing.
+Italian template) and the two end-to-end evaluation reports of the
+mock-backend run over the shipped pilot corpus: mean per-utterance chrF
+(``eval_report.json``) and pooled chrF (``eval_report_corpus_chrf.json``).
+Rerun after any deliberate change to templates, corpus, fixtures, or report
+format, and review the diff before committing.
 """
 
 from __future__ import annotations
@@ -55,10 +56,11 @@ def refresh_eval_report() -> None:
         outputs = Path(tmp) / "run.jsonl"
         summary = run_experiment(manifest, records, backend, outputs)
         assert not summary.failures, summary.failures
-        report_json = reports_to_json(evaluate_run(outputs, records))
-    out = GOLDEN_DIR / "eval_report.json"
-    out.write_text(report_json, encoding="utf-8")
-    print(f"wrote {out}")
+        for name, corpus_chrf in (("eval_report", False), ("eval_report_corpus_chrf", True)):
+            reports = evaluate_run(outputs, records, corpus_chrf=corpus_chrf)
+            out = GOLDEN_DIR / f"{name}.json"
+            out.write_text(reports_to_json(reports), encoding="utf-8")
+            print(f"wrote {out}")
 
 
 def main() -> None:

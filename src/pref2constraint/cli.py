@@ -191,19 +191,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gold_path(args: argparse.Namespace) -> Path:
-    """``--gold``, else the corpus named in the run's manifest, else the shipped pilot corpus."""
-    if args.gold:
-        return Path(args.gold)
-    manifest = read_manifest(args.outputs)
-    return pilot_corpus_path() if manifest is None else find_corpus(args.outputs, manifest)
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    gold = load_dataset(_gold_path(args))
-    reports = evaluate_run(
-        args.outputs, gold, model_id=args.model, corpus_chrf=args.corpus_chrf
-    )
+    # The manifest, read once, names the gold corpus unless --gold does and
+    # the model id unless --model does.
+    manifest = None if args.gold and args.model is not None else read_manifest(args.outputs)
+    if args.gold:
+        gold_path = Path(args.gold)
+    else:
+        gold_path = pilot_corpus_path() if manifest is None else find_corpus(args.outputs, manifest)
+    model_id = args.model
+    if model_id is None:
+        model_id = manifest.model_id if manifest else "unknown"
+    gold = load_dataset(gold_path)
+    reports = evaluate_run(args.outputs, gold, model_id=model_id, corpus_chrf=args.corpus_chrf)
     if args.report:
         Path(args.report).write_text(reports_to_json(reports), encoding="utf-8")
     if args.json:

@@ -17,12 +17,15 @@ A record's chrF reference is its canonical gold constraints joined by
 spaces (``gold_reference_string``).  The record renders them once and keeps
 them (``GoldRecord.canonical``): the lines its prompt example blocks show.
 
-Only n-grams of the reference can match, so matches are counted from the
-reference side.  ``reference_grams`` splits a reference's n-grams into those
-occurring once and those that repeat, once per record, and ``chrf_counts``
-searches the hypothesis for each of them: a line costs one C-level substring
-search per reference n-gram (a few more for repeated ones) and builds no
-hypothesis n-gram objects.
+When one side contains the other, every n-gram of the contained side
+matches, so a line where the response holds the reference, or is part of
+it, costs one containment test and no search.  Otherwise only n-grams of the
+reference can match, so matches are counted from the reference side.
+``reference_grams`` splits a reference's n-grams into those occurring once
+and those that repeat, once per record, and ``chrf_counts`` searches the
+hypothesis for each of them: such a line costs one C-level substring search
+per reference n-gram (a few more for repeated ones) and builds no hypothesis
+n-gram objects.
 
 The accuracy metrics compare extracted constraints against gold per
 utterance: a maximum matching under an equality predicate — variable kind
@@ -36,6 +39,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import cache
 from operator import add
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -71,19 +75,26 @@ ReferenceGrams = list[tuple[list[str], list[tuple[str, int]]]]
 def reference_grams(reference: str) -> ReferenceGrams:
     """Per order 1 to 6: the reference's n-grams that occur once, and (n-gram, count) of the rest.
 
-    One Counter holds every order: an n-gram's length is its order, so orders never collide.
+    An order whose n-grams are all distinct is its own once-list; only an
+    order with a repeat is counted.
     """
-    counts = Counter(
-        [reference[i : i + n] for n in CHRF_ORDERS for i in range(len(reference) - n + 1)]
-    )
-    grams: ReferenceGrams = [([], []) for _ in CHRF_ORDERS]
-    for gram, count in counts.items():
-        once, repeated = grams[len(gram) - 1]
-        if count == 1:
-            once.append(gram)
+    grams: ReferenceGrams = []
+    for n in CHRF_ORDERS:
+        order = [reference[i : i + n] for i in range(len(reference) - n + 1)]
+        if len(set(order)) == len(order):
+            grams.append((order, []))
         else:
-            repeated.append((gram, count))
+            counts = Counter(order).items()
+            grams.append(
+                ([gram for gram, c in counts if c == 1], [(gram, c) for gram, c in counts if c > 1])
+            )
     return grams
+
+
+@cache
+def _totals(length: int) -> tuple[int, ...]:
+    """Per order 1 to 6: the n-gram count of a string of ``length``, max(0, length - n + 1)."""
+    return tuple(max(0, length - n + 1) for n in CHRF_ORDERS)
 
 
 def chrf_counts(
@@ -92,36 +103,43 @@ def chrf_counts(
     """Per-order (matched, hypothesis total, reference total) n-gram counts.
 
     A string of length L has max(0, L - n + 1) n-grams of order n; only the
-    clipped overlap needs counting, and only n-grams of the reference can
-    match.  So the hypothesis is searched for each reference n-gram: one
-    occurring once in the reference matches once if the hypothesis contains
-    it, and one occurring c times matches as often as it occurs in the
-    hypothesis, overlapping occurrences included, up to c (``str.count``
-    skips overlaps, so it would undercount).  That is one C-level substring
-    search per reference n-gram, at most c for a repeated one, and no
-    hypothesis n-gram objects.  ``grams`` is ``reference_grams(reference)``
-    when the caller has already built it.
+    clipped overlap needs counting.  When one side contains the other, the
+    overlap is the contained side's totals, with no search: each of its
+    n-gram occurrences has its own occurrence at the same offset in the
+    containing side, so no count is clipped.  This holds for an empty side too.
+
+    Otherwise only n-grams of the reference can match, so the hypothesis is
+    searched for each reference n-gram: one occurring once in the reference
+    matches once if the hypothesis contains it, and one occurring c times
+    matches as often as it occurs in the hypothesis, overlapping occurrences
+    included, up to c (``str.count`` skips overlaps, so it would undercount).
+    That is one C-level substring search per reference n-gram, at most c for
+    a repeated one, and no hypothesis n-gram objects.  ``grams`` is
+    ``reference_grams(reference)`` when the caller has already built it.
     """
-    if grams is None:
-        grams = reference_grams(reference)
-    contains = hypothesis.__contains__
-    find = hypothesis.find
-    matched = []
-    for once, repeated in grams:
-        hits = sum(map(contains, once))
-        for gram, count in repeated:
-            found = 0
-            at = find(gram)
-            while at >= 0:
-                found += 1
-                if found == count:
-                    break
-                at = find(gram, at + 1)
-            hits += found
-        matched.append(hits)
-    hyp_totals = [max(0, len(hypothesis) - n + 1) for n in CHRF_ORDERS]
-    ref_totals = [max(0, len(reference) - n + 1) for n in CHRF_ORDERS]
-    return matched, hyp_totals, ref_totals
+    ref_totals = _totals(len(reference))
+    hyp_totals = _totals(len(hypothesis))
+    if reference in hypothesis:
+        matched = list(ref_totals)
+    elif hypothesis in reference:
+        matched = list(hyp_totals)
+    else:
+        if grams is None:
+            grams = reference_grams(reference)
+        contains = hypothesis.__contains__
+        find = hypothesis.find
+        matched = [sum(map(contains, once)) for once, _ in grams]
+        for order, (_, repeated) in enumerate(grams):
+            for gram, count in repeated:
+                found = 0
+                at = find(gram)
+                while at >= 0:
+                    found += 1
+                    if found == count:
+                        break
+                    at = find(gram, at + 1)
+                matched[order] += found
+    return matched, list(hyp_totals), list(ref_totals)
 
 
 def _combine(matched: list[int], hyp_totals: list[int], ref_totals: list[int]) -> float:

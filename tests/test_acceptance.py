@@ -220,8 +220,10 @@ def test_end_to_end_determinism_criterion():
         assert summary.completed == 78 and not summary.failures
         assert len(outputs.read_text("utf-8").splitlines()) == 78
         reports = evaluate_run(outputs, records)
-    golden = (GOLDEN_DIR / "eval_report.json").read_text(encoding="utf-8")
-    assert reports_to_json(reports) == golden
+        pooled = evaluate_run(outputs, records, corpus_chrf=True)
+    for name, got in (("eval_report", reports), ("eval_report_corpus_chrf", pooled)):
+        golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+        assert reports_to_json(got) == golden, f"{name} drifted from its golden file"
 
     table = render_table(reports)
     assert table.splitlines()[0].split() == [

@@ -4,11 +4,12 @@ import math
 
 import pytest
 
+from pref2constraint import cli, metrics
 from pref2constraint.cli import build_parser, main
 from pref2constraint.dataset import pilot_corpus_path
 from pref2constraint.llm import run_experiment
 from pref2constraint.prompting import MAX_FEW_SHOT
-from pref2constraint.runfile import DecodingConfig, RunManifest, manifest_path_for
+from pref2constraint.runfile import DecodingConfig, RunManifest, manifest_path_for, read_manifest
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +161,22 @@ class TestRunAndEval:
         assert {r["prompt"] for r in json.loads(report.read_text("utf-8"))["reports"]} == {
             "0s", "1s", "fs",
         }
+
+    def test_eval_reads_the_manifest_once(self, capsys, tmp_path, monkeypatch):
+        outputs = tmp_path / "run.jsonl"
+        run_cli(capsys, "run", "--out", str(outputs))
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return read_manifest(path)
+
+        for module in (cli, metrics):
+            monkeypatch.setattr(module, "read_manifest", counted)
+        code, out, err = run_cli(capsys, "eval", "--outputs", str(outputs), "--json")
+        assert code == 0, err
+        assert {r["model_id"] for r in json.loads(out)["reports"]} == {"mock-model"}
+        assert reads == [str(outputs)]
 
     @staticmethod
     def pilot_copy(tmp_path, edit=lambda record: record):

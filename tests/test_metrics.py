@@ -1,6 +1,7 @@
 import json
 import random
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -93,6 +94,25 @@ class TestChrf:
         assert chrf_counts(a, b) == chrf_counts_oracle(a, b)
         assert chrf_counts(a, b) == chrf_counts(a, b, reference_grams(a))
 
+    @given(
+        st.text(alphabet="ab∀", max_size=6),
+        st.text(alphabet="ab∀", max_size=12),
+        st.text(alphabet="ab∀", max_size=6),
+        st.integers(0, 12),
+        st.integers(0, 12),
+    )
+    # Overlapping repeats under containment.
+    @example("a", "aaaa", "", 0, 0)
+    @example("x", "abab", "x", 0, 0)
+    @example("", "aaaa", "", 0, 3)
+    # An empty reference inside a hypothesis; an empty hypothesis inside a reference.
+    @example("ab", "", "a", 0, 0)
+    @example("", "ab∀", "", 2, 1)
+    def test_contained_counts_equal_oracle_property(self, prefix, reference, suffix, i, j):
+        # The closed form: the response holds the reference, or is part of it.
+        for hypothesis in (prefix + reference + suffix, reference[i:j]):
+            assert chrf_counts(reference, hypothesis) == chrf_counts_oracle(reference, hypothesis)
+
     def test_counts_equal_oracle_on_long_hypotheses(self):
         rng = random.Random(16)
         for _ in range(40):
@@ -107,6 +127,17 @@ class TestChrf:
         assert grams[1] == (["ba"], [("ab", 2)])
         assert grams[3] == (["abab"], [])
         assert grams[4] == grams[5] == ([], [])
+
+    def test_reference_grams_equal_a_counter_split(self):
+        # Orders 1 to 3 of "abcabc" repeat, orders 4 to 6 do not.
+        reference = "abcabc"
+        expected = []
+        for n in range(1, 7):
+            counts = Counter(reference[i : i + n] for i in range(len(reference) - n + 1))
+            once = [gram for gram, count in counts.items() if count == 1]
+            repeated = [(gram, count) for gram, count in counts.items() if count > 1]
+            expected.append((once, repeated))
+        assert reference_grams(reference) == expected
 
     def test_score_range(self):
         rng = random.Random(11)
