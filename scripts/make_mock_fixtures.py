@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Regenerate the mock backend fixtures for the shipped pilot corpus.
 
-For every (record, shot) prompt of the default run configuration this
-synthesizes a plausible model response — exact, sloppily formatted,
-prose-wrapped, wrong, truncated, or refusing — chosen deterministically
-from a hash of (record id, shot), with better odds of good answers at
-higher shot counts.  The resulting digest→response map is what makes the
-default pipeline runnable offline and byte-reproducible.
+A default run over the pilot, with a backend that answers every prompt
+with "", records the digest of each prompt that ``run`` sends.  For each
+of its (record, shot) lines this synthesizes a plausible model response —
+exact, sloppily formatted, prose-wrapped, wrong, truncated, or refusing —
+chosen deterministically from a hash of (record id, shot), with better
+odds of good answers at higher shot counts.  The resulting digest→response
+map is what makes the default pipeline runnable offline and
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -29,15 +33,12 @@ from pref2constraint.constraints import (  # noqa: E402
     Until,
     render_constraint,
 )
-from pref2constraint.dataset import GoldRecord, load_pilot_corpus, mock_fixtures_path  # noqa: E402
-from pref2constraint.llm import prompt_digest  # noqa: E402
-from pref2constraint.prompting import SHOT_LABELS, ExamplePool, PromptSpec, ShotSetting, build_prompt  # noqa: E402
+from pref2constraint.dataset import GoldRecord, load_pilot_corpus, mock_fixtures_path, pilot_corpus_path  # noqa: E402
+from pref2constraint.llm import MockBackend, run_experiment  # noqa: E402
+from pref2constraint.prompting import DEFAULT_TEMPLATE_ID, SHOT_LABELS  # noqa: E402
+from pref2constraint.runfile import RunManifest, read_outputs  # noqa: E402
 
 OUT = mock_fixtures_path()
-
-TEMPLATE_ID = "it"
-SEED = 0
-SHOTS = tuple(map(ShotSetting.from_label, SHOT_LABELS))
 
 
 def _stable_int(*parts: str) -> int:
@@ -122,15 +123,15 @@ def synthesize(record: GoldRecord, shot_label: str) -> str:
 
 
 def main() -> None:
-    records = load_pilot_corpus()
-    pool = ExamplePool(records, SEED)
-    fixtures: dict[str, str] = {}
-    for record in records:
-        for shot in SHOTS:
-            example_ids = tuple(pool.select(record.id, shot.n_examples))
-            chosen = [pool.records[example_id] for example_id in example_ids]
-            prompt = build_prompt(PromptSpec(TEMPLATE_ID, shot, example_ids, record), chosen)
-            fixtures[prompt_digest(prompt)] = synthesize(record, shot.label)
+    records = {record.id: record for record in load_pilot_corpus()}
+    manifest = RunManifest.create(pilot_corpus_path(), DEFAULT_TEMPLATE_ID, SHOT_LABELS, "mock-model")
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = Path(tmp) / "run.jsonl"
+        run_experiment(manifest, list(records.values()), MockBackend(defaultdict(str)), outputs)
+        fixtures = {
+            line.prompt_digest: synthesize(records[line.record_id], line.shot)
+            for _, line in read_outputs(outputs).values()
+        }
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(
         json.dumps(fixtures, ensure_ascii=False, sort_keys=True, indent=2) + "\n",

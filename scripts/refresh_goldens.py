@@ -1,72 +1,57 @@
 #!/usr/bin/env python3
-"""Regenerate the golden files under tests/goldens/.
+"""Regenerate the golden files under tests/goldens/ through the commands they pin.
 
-Covers the three prompt goldens (zero/one/few-shot for target u01, seed 0,
-Italian template) and the two end-to-end evaluation reports of the
-mock-backend run over the shipped pilot corpus: mean per-utterance chrF
-(``eval_report.json``) and pooled chrF (``eval_report_corpus_chrf.json``).
-Rerun after any deliberate change to templates, corpus, fixtures, or report
-format, and review the diff before committing.
+Every golden is made by ``pref2constraint.cli.main`` with each setting at
+the command's default: the three prompt goldens (zero/one/few-shot for
+target u01) by ``prompt --json``, and the two evaluation reports of the
+mock-backend run over the shipped pilot corpus, mean per-utterance chrF
+(``eval_report.json``) and pooled chrF (``eval_report_corpus_chrf.json``),
+by ``run`` then ``eval --report``.  Rerun after any deliberate change to
+templates, corpus, fixtures, or report format, and review the diff before
+committing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pref2constraint.dataset import load_pilot_corpus, mock_fixtures_path, pilot_corpus_path  # noqa: E402
-from pref2constraint.llm import MockBackend, run_experiment  # noqa: E402
-from pref2constraint.metrics import evaluate_run, reports_to_json  # noqa: E402
-from pref2constraint.prompting import SHOT_LABELS, ExamplePool, PromptSpec, ShotSetting, build_prompt  # noqa: E402
-from pref2constraint.runfile import RunManifest  # noqa: E402
+from pref2constraint.cli import main as cli  # noqa: E402
+from pref2constraint.prompting import SHOT_LABELS  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "goldens"
 
-TARGET_ID = "u01"
-SEED = 0
-TEMPLATE_ID = "it"
 
-
-def refresh_prompts() -> None:
-    pool = ExamplePool(load_pilot_corpus(), SEED)
-    target = pool.records[TARGET_ID]
-    for shot in map(ShotSetting.from_label, SHOT_LABELS):
-        example_ids = tuple(pool.select(TARGET_ID, shot.n_examples))
-        chosen = [pool.records[example_id] for example_id in example_ids]
-        prompt = build_prompt(PromptSpec(TEMPLATE_ID, shot, example_ids, target), chosen)
-        out = GOLDEN_DIR / f"prompt_{shot.label}.txt"
-        out.write_text(prompt, encoding="utf-8")
-        print(f"wrote {out}")
-
-
-def refresh_eval_report() -> None:
-    records = load_pilot_corpus()
-    manifest = RunManifest.create(
-        dataset_path=pilot_corpus_path(),
-        template_id=TEMPLATE_ID,
-        shot_labels=SHOT_LABELS,
-        model_id="mock-model",
-        seed=SEED,
-    )
-    backend = MockBackend.from_file(mock_fixtures_path())
-    with tempfile.TemporaryDirectory() as tmp:
-        outputs = Path(tmp) / "run.jsonl"
-        summary = run_experiment(manifest, records, backend, outputs)
-        assert not summary.failures, summary.failures
-        for name, corpus_chrf in (("eval_report", False), ("eval_report_corpus_chrf", True)):
-            reports = evaluate_run(outputs, records, corpus_chrf=corpus_chrf)
-            out = GOLDEN_DIR / f"{name}.json"
-            out.write_text(reports_to_json(reports), encoding="utf-8")
-            print(f"wrote {out}")
+def run_cli(*argv: str) -> str:
+    """The standard output of one command, which must exit 0."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli(list(argv))
+    if code:
+        sys.exit(f"pref2constraint {' '.join(argv)} exited {code}")
+    return out.getvalue()
 
 
 def main() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    refresh_prompts()
-    refresh_eval_report()
+    for shot in SHOT_LABELS:
+        out = GOLDEN_DIR / f"prompt_{shot}.txt"
+        printed = run_cli("prompt", "--target-id", "u01", "--shot", shot, "--json")
+        out.write_text(json.loads(printed)["prompt"], encoding="utf-8")
+        print(f"wrote {out}")
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = str(Path(tmp) / "run.jsonl")
+        if json.loads(run_cli("run", "--out", outputs, "--json"))["failed"]:
+            sys.exit("the mock run failed items; see stderr")
+        for name, flags in (("eval_report", ()), ("eval_report_corpus_chrf", ("--corpus-chrf",))):
+            out = GOLDEN_DIR / f"{name}.json"
+            run_cli("eval", "--outputs", outputs, "--report", str(out), *flags)
+            print(f"wrote {out}")
 
 
 if __name__ == "__main__":

@@ -8,11 +8,12 @@ drift shows up as a missing fixture digest.
 
 ``run_experiment`` walks dataset × shot settings, appends one outputs line
 per completion as soon as it returns, skips pairs already present in the
-outputs file, and keeps a manifest next to the outputs (``runfile`` owns
-both formats).  Until the run ends the lines are in completion order, so a
-killed run keeps every finished line; a run that ends puts the file in
-canonical order (corpus record order, then manifest shot order).  A failed
-completion is recorded and skipped; it never aborts the remaining items.
+outputs file if completed from the prompt it would send, and keeps a
+manifest next to the outputs (``runfile`` owns both formats).  Until the
+run ends the lines are in completion order, so a killed run keeps every
+finished line; a run that ends puts the file in canonical order (corpus
+record order, then manifest shot order).  A failed completion is recorded
+and skipped; it never aborts the remaining items.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import Pref2ConstraintError, read_json_object, typed
 from .prompting import ExamplePool, PromptSpec, build_prompt, get_template
 from .runfile import (
     ConfigError, DecodingConfig, ManifestMismatchError, OutputsLine, RunManifest,
-    differing_fields, file_sha256, read_manifest, resume, write_manifest,
+    differing_fields, end_outputs, file_sha256, read_manifest, resume, write_manifest,
 )
 # Not called here: perfbench/tracing.py wraps llm.select_examples by name, and
 # perfbench/workloads.py imports llm.manifest_path_for.
@@ -252,6 +253,9 @@ def _complete_all(
     stop = threading.Event()
 
     def write_finished() -> None:
+        # Non-blocking on purpose. Measured against this drain in perfbench's `replicated`
+        # items/s (10 s runs, shared 2-vCPU VM, Python 3.11.7): one blocking write lock
+        # cost 32-42 %, and a lock-free O_APPEND write per line 3-25 % (median 7 %).
         # The queue is checked again after each release: a line queued while another
         # worker held the lock found it taken, so it is written on the next pass.
         while not finished.empty() and write.acquire(blocking=False):
@@ -326,7 +330,11 @@ def run_experiment(
     and a resumed run ends with the bytes of a clean one.
     A manifest already next to the outputs is kept if ``differing_fields``
     finds none, and refused otherwise; if there is none, ``manifest`` is
-    written first (``write_manifest``).
+    written first (``write_manifest``).  With a manifest or without, a line
+    already in the file is kept only if its ``prompt_digest`` is that of the
+    prompt this run would send for its pair; the first in canonical order
+    that is not raises ManifestMismatchError, before anything is written.
+    A torn last line (``runfile.read_lines``) is cut off and its pair redone.
     """
     if concurrency < 1:
         raise ConfigError(f"concurrency must be >= 1, got {concurrency}")
@@ -347,23 +355,35 @@ def run_experiment(
     examples = ExamplePool(records, manifest.seed)
     shots = manifest.shots
     get_template(manifest.template_id)
-    done, dropped_tail = resume(outputs_path)
-    summary = RunSummary(skipped=len(done), dropped_tail=dropped_tail)
+    done, torn = resume(outputs_path)
+    summary = RunSummary(skipped=len(done), dropped_tail=torn.decode("utf-8", errors="replace"))
 
-    # Examples are drawn and each spec checked here, before anything is written;
-    # a prompt is rendered only by the worker that sends it.
+    # Examples are drawn and each spec checked here, before anything is written.
+    # A prompt to send is rendered only by the worker that sends it; the prompt
+    # of a pair already done is rendered here, and its line is kept only if it
+    # was completed from that prompt.
+    longest = max(shot.n_examples for shot in shots)
     work: list[tuple[Rank, PromptSpec]] = []
     for position, record in enumerate(records):
-        pending = [(i, shot) for i, shot in enumerate(shots) if (record.id, shot.label) not in done]
         # One draw per record: a shot's examples are a prefix of the longest list.
-        drawn = examples.select(record.id, max((s.n_examples for _, s in pending), default=0))
-        for i, shot in pending:
+        drawn = examples.select(record.id, longest)
+        for i, shot in enumerate(shots):
             spec = PromptSpec(manifest.template_id, shot, tuple(drawn[: shot.n_examples]), record)
-            work.append(((position, i), spec))
+            stored = done.get((record.id, shot.label))
+            if stored is None:
+                work.append(((position, i), spec))
+                continue
+            prompt = build_prompt(spec, [examples.records[e] for e in spec.example_ids])
+            if stored[0] != prompt_digest(prompt):
+                raise ManifestMismatchError(
+                    f"{outputs_path} holds a line for {record.id} [{shot.label}] completed "
+                    "from another prompt than this run would send"
+                )
 
     outputs_path.parent.mkdir(parents=True, exist_ok=True)
     if existing is None:
         write_manifest(manifest, outputs_path)
+    end_outputs(outputs_path, torn)
     with open(outputs_path, "ab") as out:
         appended, failures = _complete_all(work, manifest, examples.records, backend, out, concurrency)
     summary.completed = len(appended)
@@ -375,7 +395,7 @@ def run_experiment(
     shot_rank = {shot.label: i for i, shot in enumerate(shots)}
     rows = [
         ((record_rank.get(record_id, len(records)), shot_rank.get(shot, len(shots))), line)
-        for (record_id, shot), line in done.items()
+        for (record_id, shot), (_, line) in done.items()
     ] + appended
     if any(before[0] > after[0] for before, after in zip(rows, rows[1:])):
         rows.sort(key=lambda row: row[0])

@@ -3,8 +3,9 @@
 An outputs file holds one JSON line per completion, an ``OutputsLine``
 ({record_id, shot, prompt_digest, response_text}); the ``RunManifest``
 next to it records how the run was made.  Resume and evaluation read the
-run back through ``parse_outputs`` (evaluation by way of ``read_outputs``)
-and ``read_manifest``: only this module knows the format.
+run back through ``parse_outputs`` (``resume`` and ``read_outputs``), both
+less a torn last line (``read_lines``), and ``read_manifest``: only this
+module knows the format.
 """
 
 from __future__ import annotations
@@ -227,12 +228,12 @@ def parse_outputs(lines: Iterable[bytes]) -> dict[tuple[str, str], tuple[int, Ou
     return rows
 
 
-def read_outputs(outputs_path: str | Path) -> dict[tuple[str, str], tuple[int, OutputsLine]]:
-    """``parse_outputs`` of an outputs file, less a torn last line.
+def read_lines(outputs_path: str | Path) -> tuple[list[bytes], bytes]:
+    """The lines of an outputs file less a torn last line, and that line (or b"").
 
     A run killed mid-write leaves an unterminated fragment as the last line.
-    An unterminated last line that is not UTF-8 JSON is such a fragment and
-    is left out; one that is JSON is read like any other line.
+    An unterminated last line that is not UTF-8 JSON is such a fragment; one
+    that is JSON is read like any other line.
     """
     with open(outputs_path, "rb") as handle:
         lines = handle.readlines()
@@ -240,24 +241,39 @@ def read_outputs(outputs_path: str | Path) -> dict[tuple[str, str], tuple[int, O
         try:
             json.loads(lines[-1].decode("utf-8"))
         except ValueError:  # UnicodeDecodeError is one too
-            lines.pop()
-    return parse_outputs(lines)
+            torn = lines.pop()
+            return lines, torn
+    return lines, b""
 
 
-def resume(outputs_path: Path) -> tuple[dict[tuple[str, str], bytes], str]:
-    """{(record_id, shot): line} already in the outputs file, in file order, and
-    the torn last line cut from it.
+def read_outputs(outputs_path: str | Path) -> dict[tuple[str, str], tuple[int, OutputsLine]]:
+    """``parse_outputs`` of an outputs file, less a torn last line (``read_lines``)."""
+    return parse_outputs(read_lines(outputs_path)[0])
 
-    A run killed mid-write leaves an unterminated last line.  Once the lines
-    before it parse, it is cut off, so its pair is completed again and new
-    lines are not appended to the fragment.
+
+def resume(outputs_path: Path) -> tuple[dict[tuple[str, str], tuple[str, bytes]], bytes]:
+    """{(record_id, shot): (prompt digest, line ended with a newline)} of the
+    lines already in the outputs file, in file order, and its torn last line
+    (``read_lines``).  The file is only read: ``end_outputs`` cuts that off.
     """
     if not outputs_path.exists():
-        return {}, ""
+        return {}, b""
+    lines, torn = read_lines(outputs_path)
+    done = {
+        pair: (line.prompt_digest, lines[number - 1].removesuffix(b"\n") + b"\n")
+        for pair, (number, line) in parse_outputs(lines).items()
+    }
+    return done, torn
+
+
+def end_outputs(outputs_path: Path, torn: bytes) -> None:
+    """Cut the torn last line ``torn`` off the outputs file, if there is one, and
+    end its last line with a newline, so appended lines join neither."""
+    if not outputs_path.exists():
+        return
     with open(outputs_path, "rb+") as handle:
-        lines = handle.readlines()
-        torn = lines.pop() if lines and not lines[-1].endswith(b"\n") else b""
-        done = {pair: lines[number - 1] for pair, (number, _) in parse_outputs(lines).items()}
-        if torn:
-            handle.truncate(handle.tell() - len(torn))
-    return done, torn.decode("utf-8", errors="replace")
+        end = handle.seek(0, os.SEEK_END) - len(torn)
+        handle.truncate(end)
+        handle.seek(max(end - 1, 0))
+        if handle.read(1) not in (b"", b"\n"):
+            handle.write(b"\n")

@@ -277,6 +277,28 @@ class TestRunAndEval:
         assert json.loads(out)["completed"] == 78
         assert "dropped" in err and '{"record_id": "u0' in err
 
+    def test_run_and_eval_refuse_an_unterminated_malformed_line_alike(self, capsys, tmp_path):
+        # It is JSON, so it is not torn: both read it like any other line.
+        outputs = tmp_path / "run.jsonl"
+        outputs.write_text('{"record_id": 5}', "utf-8")
+        error = "CorruptOutputsError: line 1: 'record_id' must be a string, got 5\n"
+        assert run_cli(capsys, "eval", "--outputs", str(outputs), "--json") == (1, "", error)
+        assert run_cli(capsys, "run", "--out", str(outputs), "--json") == (1, "", error)
+        assert outputs.read_text("utf-8") == '{"record_id": 5}'
+        assert not manifest_path_for(outputs).exists()
+
+    def test_resume_under_another_seed_without_a_manifest_is_refused(self, capsys, tmp_path):
+        outputs = tmp_path / "r.jsonl"
+        assert run_cli(capsys, "run", "--out", str(outputs), "--seed", "0")[0] == 0
+        manifest_path_for(outputs).unlink()
+        outputs.write_bytes(outputs.read_bytes() + b'{"record_id": "u1')  # torn last line
+        before = outputs.read_bytes()
+        code, out, err = run_cli(capsys, "run", "--out", str(outputs), "--seed", "7")
+        assert code == 1 and out == ""
+        assert err.startswith("ManifestMismatchError: ") and "u01 [1s]" in err
+        assert outputs.read_bytes() == before
+        assert not manifest_path_for(outputs).exists()
+
     def test_identical_stdout_across_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         _, out_a, _ = run_cli(capsys, "run", "--out", str(a), "--json")

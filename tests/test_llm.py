@@ -468,6 +468,55 @@ class TestRunExperiment:
         assert outputs.read_bytes() == full
         assert [r.n_utterances for r in evaluate_run(outputs, pilot_records)] == [26, 26, 26]
 
+    @pytest.mark.parametrize("kept", [1, 78], ids=["first-line", "whole-run"])
+    def test_resume_keeps_an_unterminated_last_line_that_is_json(
+        self, pilot_manifest, pilot_records, tmp_path, kept
+    ):
+        outputs = tmp_path / "run.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        full = outputs.read_bytes()
+        outputs.write_bytes(b"\n".join(full.split(b"\n")[:kept]))
+        summary = run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert (summary.skipped, summary.completed, summary.dropped_tail) == (kept, 78 - kept, "")
+        assert outputs.read_bytes() == full
+
+    def test_resume_refuses_a_line_from_another_prompt_before_writing(
+        self, pilot_manifest, pilot_records, tmp_path
+    ):
+        outputs = tmp_path / "run.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        lines = outputs.read_bytes().splitlines(keepends=True)
+        rows = [json.loads(line) for line in lines]
+        for row in rows:  # two stale lines, the later one in canonical order first in the file
+            if (row["record_id"], row["shot"]) in {("u02", "fs"), ("u03", "0s")}:
+                row["prompt_digest"] = "0" * 64
+        assert (rows[6]["record_id"], rows[6]["shot"]) == ("u03", "0s")
+        stale = [rows[6], *rows[:6], *rows[7:]]
+        outputs.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in stale), "utf-8")
+        outputs.write_bytes(outputs.read_bytes() + b'{"record_id": "u1')  # torn last line
+        before = outputs.read_bytes(), manifest_path_for(outputs).read_bytes()
+        with pytest.raises(ManifestMismatchError, match=re.escape("u02 [fs]")):
+            run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert (outputs.read_bytes(), manifest_path_for(outputs).read_bytes()) == before
+
+    def test_only_a_resume_builds_prompts_to_check(
+        self, pilot_manifest, pilot_records, tmp_path, monkeypatch
+    ):
+        built = Counter()
+
+        def counting_build_prompt(spec, dataset):
+            built[spec.target.id, spec.shot.label] += 1
+            return build_prompt(spec, dataset)
+
+        monkeypatch.setattr(llm, "build_prompt", counting_build_prompt)
+        outputs = tmp_path / "run.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert len(built) == 78 and set(built.values()) == {1}  # each sent prompt, once
+        built.clear()
+        summary = run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert summary.skipped == 78 and summary.completed == 0
+        assert len(built) == 78 and set(built.values()) == {1}  # each checked prompt, once
+
     def test_resume_rejects_corrupt_complete_line(self, pilot_manifest, pilot_records, tmp_path):
         outputs = tmp_path / "run.jsonl"
         outputs.write_text("not json\n", "utf-8")
