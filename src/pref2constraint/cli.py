@@ -204,10 +204,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         model_id = manifest.model_id if manifest else "unknown"
     gold = load_dataset(gold_path)
     reports = evaluate_run(args.outputs, gold, model_id=model_id, corpus_chrf=args.corpus_chrf)
+    text = reports_to_json(reports) if args.report or args.json else ""
     if args.report:
-        Path(args.report).write_text(reports_to_json(reports), encoding="utf-8")
+        Path(args.report).write_text(text, encoding="utf-8")
     if args.json:
-        print(reports_to_json(reports), end="")
+        print(text, end="")
     else:
         print(render_table(reports))
     return 0

@@ -20,12 +20,14 @@ them (``GoldRecord.canonical``): the lines its prompt example blocks show.
 When one side contains the other, every n-gram of the contained side
 matches, so a line where the response holds the reference, or is part of
 it, costs one containment test and no search.  Otherwise only n-grams of the
-reference can match, so matches are counted from the reference side.
-``reference_grams`` splits a reference's n-grams into those occurring once
-and those that repeat, once per record, and ``chrf_counts`` searches the
-hypothesis for each of them: such a line costs one C-level substring search
-per reference n-gram (a few more for repeated ones) and builds no hypothesis
-n-gram objects.
+reference can match, so ``chrf_counts`` scans the reference once, finding at
+each offset the longest slice of up to 6 characters that the response
+contains: an offset whose match is n long or more holds a matching n-gram.
+Only an n-gram that repeats in the reference can match more often than the
+response holds it, so ``reference_grams`` lists the repeated n-grams alone,
+with their counts, and the response is searched for each to clip it.  A
+record builds that table once, and only when one of its lines takes the
+scan.  No n-gram objects are built for the response.
 
 The accuracy metrics compare extracted constraints against gold per
 utterance: a maximum matching under an equality predicate — variable kind
@@ -37,9 +39,9 @@ averaged over utterances.  ``acc_avg`` is the plain mean of the two.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import cache
+from itertools import accumulate
 from operator import add
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -68,26 +70,31 @@ class MissingGoldError(MetricsError, LineError):
 
 CHRF_ORDERS = range(1, 7)  # character n-gram orders 1..6
 
-# Per order: the n-grams occurring once, and (n-gram, count) of those that repeat.
-ReferenceGrams = list[tuple[list[str], list[tuple[str, int]]]]
+# Per order from 1: (n-gram, count) of the reference's repeated n-grams, up to the
+# first order with none.
+ReferenceGrams = list[list[tuple[str, int]]]
 
 
 def reference_grams(reference: str) -> ReferenceGrams:
-    """Per order 1 to 6: the reference's n-grams that occur once, and (n-gram, count) of the rest.
+    """Per order from 1: (n-gram, count) of the n-grams that occur more than once in ``reference``.
 
-    An order whose n-grams are all distinct is its own once-list; only an
-    order with a repeat is counted.
+    The table ends before the first order with no repeat: a repeated
+    (n+1)-gram's n-prefix repeats too, so no higher order has one.  For the
+    same reason only the starts of repeated n-grams are extended to order n+1.
     """
     grams: ReferenceGrams = []
+    starts = range(len(reference))
     for n in CHRF_ORDERS:
-        order = [reference[i : i + n] for i in range(len(reference) - n + 1)]
-        if len(set(order)) == len(order):
-            grams.append((order, []))
-        else:
-            counts = Counter(order).items()
-            grams.append(
-                ([gram for gram, c in counts if c == 1], [(gram, c) for gram, c in counts if c > 1])
-            )
+        counts: dict[str, int] = {}
+        for i in starts:
+            gram = reference[i : i + n]
+            counts[gram] = counts.get(gram, 0) + 1
+        repeated = [(gram, count) for gram, count in counts.items() if count > 1]
+        if not repeated:
+            break
+        grams.append(repeated)
+        last = len(reference) - n - 1  # the last start of an (n+1)-gram
+        starts = [i for i in starts if i <= last and counts[reference[i : i + n]] > 1]
     return grams
 
 
@@ -108,37 +115,51 @@ def chrf_counts(
     n-gram occurrences has its own occurrence at the same offset in the
     containing side, so no count is clipped.  This holds for an empty side too.
 
-    Otherwise only n-grams of the reference can match, so the hypothesis is
-    searched for each reference n-gram: one occurring once in the reference
-    matches once if the hypothesis contains it, and one occurring c times
-    matches as often as it occurs in the hypothesis, overlapping occurrences
-    included, up to c (``str.count`` skips overlaps, so it would undercount).
-    That is one C-level substring search per reference n-gram, at most c for
-    a repeated one, and no hypothesis n-gram objects.  ``grams`` is
+    Otherwise only n-grams of the reference can match, so the reference is
+    scanned once: at each offset, the longest reference slice of at most 6
+    characters that the hypothesis contains.  The search there starts one
+    shorter than the previous offset's match, since a suffix of a match is a
+    match too.  An offset whose match is at least n long holds a matching
+    n-gram.  Only a repeated n-gram can then be overcounted: one occurring c
+    times in the reference and f times in the hypothesis, 0 < f < c,
+    overlapping occurrences included (``str.count`` skips overlaps), gives
+    back c - f.  No n-gram objects are built for the hypothesis.  ``grams`` is
     ``reference_grams(reference)`` when the caller has already built it.
     """
     ref_totals = _totals(len(reference))
     hyp_totals = _totals(len(hypothesis))
     if reference in hypothesis:
-        matched = list(ref_totals)
-    elif hypothesis in reference:
-        matched = list(hyp_totals)
-    else:
-        if grams is None:
-            grams = reference_grams(reference)
-        contains = hypothesis.__contains__
-        find = hypothesis.find
-        matched = [sum(map(contains, once)) for once, _ in grams]
-        for order, (_, repeated) in enumerate(grams):
-            for gram, count in repeated:
-                found = 0
-                at = find(gram)
-                while at >= 0:
-                    found += 1
-                    if found == count:
-                        break
-                    at = find(gram, at + 1)
-                matched[order] += found
+        return list(ref_totals), list(hyp_totals), list(ref_totals)
+    if hypothesis in reference:
+        return list(hyp_totals), list(hyp_totals), list(ref_totals)
+    if grams is None:
+        grams = reference_grams(reference)
+    longest = [0] * 7  # match length -> number of reference offsets with that longest match
+    stop = 0  # end of the previous offset's match
+    end = len(reference)
+    for i in range(end):
+        if stop < i:
+            stop = i
+        cap = i + 6
+        if cap > end:
+            cap = end
+        while stop < cap and reference[i : stop + 1] in hypothesis:
+            stop += 1
+        longest[stop - i] += 1
+    # Per order n from 1: the offsets whose match is at least n long.
+    matched = list(accumulate(reversed(longest)))[-2::-1]
+    find = hypothesis.find
+    for order, repeated in enumerate(grams):
+        for gram, count in repeated:
+            found = 0
+            at = find(gram)
+            while at >= 0:
+                found += 1
+                if found == count:
+                    break
+                at = find(gram, at + 1)
+            if found:
+                matched[order] -= count - found
     return matched, list(hyp_totals), list(ref_totals)
 
 
@@ -215,9 +236,10 @@ def acc_conditions(gold: list[GoldRecord], parsed: dict[str, list[Constraint]]) 
     return _accuracy(gold, parsed, 1)
 
 
-def _rounded(data: dict) -> dict:
-    """``data`` with its float values rounded to 4 places, as reports carry them."""
-    return {key: round(v, 4) if isinstance(v, float) else v for key, v in data.items()}
+def _rounded(row) -> dict:
+    """The fields of dataclass ``row``, uncopied, floats rounded to 4 places as in reports."""
+    values = ((f.name, getattr(row, f.name)) for f in fields(row))
+    return {key: round(v, 4) if isinstance(v, float) else v for key, v in values}
 
 
 @dataclass(frozen=True)
@@ -231,7 +253,7 @@ class UtteranceScore:
     matched_conditions: int
 
     def to_dict(self) -> dict:
-        return _rounded(asdict(self))
+        return _rounded(self)
 
 
 @dataclass(frozen=True)
@@ -254,7 +276,7 @@ class EvalReport:
                 raise MetricsError(f"{name} {value} outside 0..1")
 
     def to_dict(self) -> dict:
-        data = _rounded(asdict(self))
+        data = _rounded(self)
         data["prompt"] = data.pop("shot")
         data["per_utterance"] = [u.to_dict() for u in self.per_utterance]
         return data
@@ -294,16 +316,19 @@ def evaluate_run(
         responses.setdefault(record_id, {})[shot] = line.response_text
         scored.setdefault(shot, {})[record_id] = None
 
-    # Record by record, so each gold reference is rendered and counted once.
+    # Record by record, so each gold reference is rendered and its repeats counted once.
     # shot -> running per-order (matched, hypothesis total, reference total) sums
     pooled = {shot: [[0] * len(CHRF_ORDERS) for _ in range(3)] for shot in scored}
     for record_id, shot_responses in responses.items():
         record = by_id[record_id]
         reference = strip_whitespace(gold_reference_string(record))
-        grams = reference_grams(reference)
+        grams = None  # built at the record's first line where neither side contains the other
         for shot, response in shot_responses.items():
             constraints, issues = extract_constraints(response)
-            counts = chrf_counts(reference, strip_whitespace(response), grams)
+            hypothesis = strip_whitespace(response)
+            if grams is None and reference not in hypothesis and hypothesis not in reference:
+                grams = reference_grams(reference)
+            counts = chrf_counts(reference, hypothesis, grams)
             if corpus_chrf:
                 for pool, part in zip(pooled[shot], counts):
                     pool[:] = map(add, pool, part)

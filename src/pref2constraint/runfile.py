@@ -205,7 +205,11 @@ class OutputsLine(NamedTuple):
 
     @classmethod
     def from_dict(cls, data: dict) -> "OutputsLine":
-        # Field by field: each is looked up and type-checked before the next is looked up.
+        line = cls._make(map(data.get, cls._fields))
+        if all(map(str.__instancecheck__, line)):
+            return line
+        # Field by field, each looked up and type-checked before the next, so the
+        # first missing or mistyped field is the one named.
         return cls._make([typed(data, name, "string") for name in cls._fields])
 
 

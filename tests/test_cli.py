@@ -162,6 +162,26 @@ class TestRunAndEval:
             "0s", "1s", "fs",
         }
 
+    def test_eval_report_and_json_serialize_once_to_the_golden_bytes(
+        self, capsys, tmp_path, monkeypatch, golden_dir
+    ):
+        outputs = tmp_path / "run.jsonl"
+        run_cli(capsys, "run", "--out", str(outputs))
+        serialized = []
+
+        def counted(reports):
+            serialized.append(reports)
+            return metrics.reports_to_json(reports)
+
+        monkeypatch.setattr(cli, "reports_to_json", counted)
+        report = tmp_path / "both.json"
+        code, out, _ = run_cli(
+            capsys, "eval", "--outputs", str(outputs), "--report", str(report), "--json"
+        )
+        assert code == 0 and len(serialized) == 1
+        golden = (golden_dir / "eval_report.json").read_text("utf-8")
+        assert out == report.read_text("utf-8") == golden
+
     def test_eval_reads_the_manifest_once(self, capsys, tmp_path, monkeypatch):
         outputs = tmp_path / "run.jsonl"
         run_cli(capsys, "run", "--out", str(outputs))

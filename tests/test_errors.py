@@ -124,6 +124,29 @@ class TestJsonLines:
             "line 1: expected a JSON object, got number"
         )
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            # Looked up and type-checked field by field, so the first fault is
+            # named; test_cli pins a mistyped field before a missing one.
+            ({"record_id": "u01", "shot": 1, "prompt_digest": None, "response_text": 2},
+             "'shot' must be a string, got 1"),
+            ({"record_id": "u01", "shot": "0s", "response_text": 2}, "missing field 'prompt_digest'"),
+            ({"record_id": "u01", "shot": "0s", "prompt_digest": "d", "response_text": None},
+             "'response_text' must be a string, got null"),
+        ],
+        ids=["mistyped-before-mistyped", "missing-before-mistyped", "last"],
+    )
+    def test_an_outputs_line_names_its_first_fault(self, line, message):
+        with pytest.raises(CorruptOutputsError) as excinfo:
+            parse_outputs([json.dumps(line).encode() + b"\n"])
+        assert str(excinfo.value) == f"line 1: {message}"
+
+    def test_an_outputs_line_of_strings_keeps_its_fields_and_drops_others(self):
+        line = {"response_text": "r", "extra": 1, "shot": "0s", "prompt_digest": "d", "record_id": "u01"}
+        ((number, parsed),) = parse_outputs([json.dumps(line).encode() + b"\n"]).values()
+        assert number == 1 and parsed == ("u01", "0s", "d", "r")
+
 
 class TestReadJsonObject:
     def read(self, tmp_path, content, parse=dict):

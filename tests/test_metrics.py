@@ -26,6 +26,7 @@ from pref2constraint.metrics import (
     reference_grams,
     render_table,
     reports_to_json,
+    strip_whitespace,
 )
 from pref2constraint.prompting import SHOT_LABELS
 from pref2constraint.runfile import CorruptOutputsError, RunManifest
@@ -90,6 +91,10 @@ class TestChrf:
     @example("aaaa", "aaa")
     @example("abababab", "ababa")
     @example("aaa∀aaa", "aaaa")
+    # Repeats at orders 2 and up, found in the hypothesis fewer times than in the reference.
+    @example("abcabc", "cab")
+    @example("aaaa", "aab")
+    @example("abababab", "babba")
     def test_counts_equal_oracle_property(self, a, b):
         assert chrf_counts(a, b) == chrf_counts_oracle(a, b)
         assert chrf_counts(a, b) == chrf_counts(a, b, reference_grams(a))
@@ -120,24 +125,41 @@ class TestChrf:
             hypothesis = "".join(rng.choice("abc") for _ in range(rng.randrange(200, 401)))
             assert chrf_counts(reference, hypothesis) == chrf_counts_oracle(reference, hypothesis)
 
-    def test_reference_grams_split_once_from_repeated(self):
-        grams = reference_grams("abab")
-        assert len(grams) == 6
-        assert grams[0] == ([], [("a", 2), ("b", 2)])
-        assert grams[1] == (["ba"], [("ab", 2)])
-        assert grams[3] == (["abab"], [])
-        assert grams[4] == grams[5] == ([], [])
+    def test_pilot_references_against_every_pilot_response(self, pilot_records):
+        # Every canonical reference against every mock response, as eval strips them.
+        references = [strip_whitespace(gold_reference_string(r)) for r in pilot_records]
+        responses = json.loads(mock_fixtures_path().read_text("utf-8")).values()
+        hypotheses = [strip_whitespace(text) for text in responses]
+        assert (len(references), len(hypotheses)) == (26, 78)
+        for reference in references:
+            grams = reference_grams(reference)
+            for hypothesis in hypotheses:
+                expected = chrf_counts_oracle(reference, hypothesis)
+                assert chrf_counts(reference, hypothesis, grams) == expected
 
-    def test_reference_grams_equal_a_counter_split(self):
-        # Orders 1 to 3 of "abcabc" repeat, orders 4 to 6 do not.
-        reference = "abcabc"
+    def test_reference_grams_keep_only_repeats_up_to_the_first_clean_order(self):
+        assert reference_grams("abab") == [[("a", 2), ("b", 2)], [("ab", 2)]]
+        assert reference_grams("aaaa") == [[("a", 4)], [("aa", 3)], [("aaa", 2)]]
+        # "s_t=1∀t" repeats "t" only; a reference with no repeat has an empty table.
+        assert reference_grams("s_t=1∀t") == [[("t", 2)]]
+        assert reference_grams("ab∀") == reference_grams("") == []
+        # Order 7 is past chrF's orders, though "a" * 8 repeats it.
+        assert [len(order) for order in reference_grams("a" * 8)] == [1] * 6
+
+    @given(st.text(alphabet="ab∀", max_size=16))
+    @example("abcabc")
+    @example("abcabcabc")
+    @example("aabaab∀aab")
+    def test_reference_grams_equal_a_counter_cut_at_the_first_clean_order(self, reference):
+        # Per order 1 to 6, (n-gram, count) of each repeated n-gram, in first-seen order.
         expected = []
         for n in range(1, 7):
             counts = Counter(reference[i : i + n] for i in range(len(reference) - n + 1))
-            once = [gram for gram, count in counts.items() if count == 1]
-            repeated = [(gram, count) for gram, count in counts.items() if count > 1]
-            expected.append((once, repeated))
-        assert reference_grams(reference) == expected
+            expected.append([(gram, count) for gram, count in counts.items() if count > 1])
+        cut = next((n for n, order in enumerate(expected) if not order), len(expected))
+        assert reference_grams(reference) == expected[:cut]
+        # Past the cut no order repeats, so the cut drops nothing.
+        assert not any(expected[cut:])
 
     def test_score_range(self):
         rng = random.Random(11)
