@@ -8,12 +8,13 @@ drift shows up as a missing fixture digest.
 
 ``run_experiment`` walks dataset × shot settings, appends one outputs line
 per completion as soon as it returns, skips pairs already present in the
-outputs file if completed from the prompt it would send, and keeps a
-manifest next to the outputs (``runfile`` owns both formats).  Until the
-run ends the lines are in completion order, so a killed run keeps every
-finished line; a run that ends puts the file in canonical order (corpus
-record order, then manifest shot order).  A failed completion is recorded
-and skipped; it never aborts the remaining items.
+outputs file if completed from the prompt it would send, refuses a line
+of a pair it does not send, and keeps a manifest next to the outputs
+(``runfile`` owns both formats).  Until the run ends the lines are in
+completion order, so a killed run keeps every finished line; a run that
+ends puts the file in canonical order (corpus record order, then manifest
+shot order).  A failed completion is recorded and skipped; it never
+aborts the remaining items.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .dataset import GoldRecord
 from .errors import Pref2ConstraintError, read_json_object, typed
 from .prompting import ExamplePool, PromptSpec, build_prompt, get_template
 from .runfile import (
-    ConfigError, DecodingConfig, ManifestMismatchError, OutputsLine, RunManifest,
-    differing_fields, end_outputs, file_sha256, read_manifest, resume, write_manifest,
+    ConfigError, DecodingConfig, ManifestMismatchError, OutputsLine, RunManifest, differing_fields,
+    end_outputs, file_sha256, parse_outputs, read_lines, read_manifest, write_manifest,
 )
 # Not called here: perfbench/tracing.py wraps llm.select_examples by name, and
 # perfbench/workloads.py imports llm.manifest_path_for.
@@ -218,17 +219,14 @@ class RunSummary:
     dropped_tail: str = ""  # unterminated last line cut from the outputs file
 
 
-Rank = tuple[int, int]  # (record position in the corpus, shot position in the manifest)
-
-
 def _complete_all(
-    work: list[tuple[Rank, PromptSpec]],
+    work: list[tuple[int, PromptSpec]],
     manifest: RunManifest,
     records: dict[str, GoldRecord],
     backend: Backend,
     out: BinaryIO,
     concurrency: int,
-) -> tuple[list[tuple[Rank, bytes]], list[tuple[Rank, RunFailure]]]:
+) -> tuple[list[tuple[int, bytes]], list[tuple[int, RunFailure]]]:
     """Complete each (rank, spec) item and append its line to ``out``.
 
     The calling thread and up to ``concurrency - 1`` helper threads each take
@@ -246,9 +244,9 @@ def _complete_all(
     """
     items = iter(work)
     take, write = threading.Lock(), threading.Lock()
-    finished: queue.SimpleQueue[tuple[Rank, bytes]] = queue.SimpleQueue()
-    written: list[tuple[Rank, bytes]] = []
-    failures: list[tuple[Rank, RunFailure]] = []
+    finished: queue.SimpleQueue[tuple[int, bytes]] = queue.SimpleQueue()
+    written: list[tuple[int, bytes]] = []
+    failures: list[tuple[int, RunFailure]] = []
     errors: list[BaseException] = []
     stop = threading.Event()
 
@@ -333,7 +331,8 @@ def run_experiment(
     written first (``write_manifest``).  With a manifest or without, a line
     already in the file is kept only if its ``prompt_digest`` is that of the
     prompt this run would send for its pair; the first in canonical order
-    that is not raises ManifestMismatchError, before anything is written.
+    that is not raises ManifestMismatchError, as does the first line in file
+    order of a pair this run does not send, both before anything is written.
     A torn last line (``runfile.read_lines``) is cut off and its pair redone.
     """
     if concurrency < 1:
@@ -355,7 +354,8 @@ def run_experiment(
     examples = ExamplePool(records, manifest.seed)
     shots = manifest.shots
     get_template(manifest.template_id)
-    done, torn = resume(outputs_path)
+    lines, torn = read_lines(outputs_path) if outputs_path.exists() else ([], b"")
+    done = parse_outputs(lines)
     summary = RunSummary(skipped=len(done), dropped_tail=torn.decode("utf-8", errors="replace"))
 
     # Examples are drawn and each spec checked here, before anything is written.
@@ -363,22 +363,30 @@ def run_experiment(
     # of a pair already done is rendered here, and its line is kept only if it
     # was completed from that prompt.
     longest = max(shot.n_examples for shot in shots)
-    work: list[tuple[Rank, PromptSpec]] = []
-    for position, record in enumerate(records):
+    rank: dict[tuple[str, str], int] = {}  # each pair this run sends: its canonical position
+    work: list[tuple[int, PromptSpec]] = []
+    for record in records:
         # One draw per record: a shot's examples are a prefix of the longest list.
         drawn = examples.select(record.id, longest)
-        for i, shot in enumerate(shots):
+        for shot in shots:
+            pair = record.id, shot.label
+            rank[pair] = len(rank)
             spec = PromptSpec(manifest.template_id, shot, tuple(drawn[: shot.n_examples]), record)
-            stored = done.get((record.id, shot.label))
+            stored = done.get(pair)
             if stored is None:
-                work.append(((position, i), spec))
+                work.append((rank[pair], spec))
                 continue
             prompt = build_prompt(spec, [examples.records[e] for e in spec.example_ids])
-            if stored[0] != prompt_digest(prompt):
+            if stored[1].prompt_digest != prompt_digest(prompt):
                 raise ManifestMismatchError(
                     f"{outputs_path} holds a line for {record.id} [{shot.label}] completed "
                     "from another prompt than this run would send"
                 )
+    stray = next((pair for pair in done if pair not in rank), None)
+    if stray:
+        raise ManifestMismatchError(
+            f"{outputs_path} holds a line for {stray[0]} [{stray[1]}], a pair this run does not send"
+        )
 
     outputs_path.parent.mkdir(parents=True, exist_ok=True)
     if existing is None:
@@ -389,13 +397,10 @@ def run_experiment(
     summary.completed = len(appended)
     summary.failures = [failure for _, failure in sorted(failures, key=lambda pair: pair[0])]
 
-    # A line of a pair outside the corpus or the shots (only an earlier run can leave
-    # one) ranks after every other, in file order.
-    record_rank = {record.id: i for i, record in enumerate(records)}
-    shot_rank = {shot.label: i for i, shot in enumerate(shots)}
+    # A kept line keeps the bytes it was read with; only an unterminated last one gains a newline.
     rows = [
-        ((record_rank.get(record_id, len(records)), shot_rank.get(shot, len(shots))), line)
-        for (record_id, shot), (_, line) in done.items()
+        (rank[pair], lines[number - 1].removesuffix(b"\n") + b"\n")
+        for pair, (number, _) in done.items()
     ] + appended
     if any(before[0] > after[0] for before, after in zip(rows, rows[1:])):
         rows.sort(key=lambda row: row[0])

@@ -2,10 +2,10 @@
 
 An outputs file holds one JSON line per completion, an ``OutputsLine``
 ({record_id, shot, prompt_digest, response_text}); the ``RunManifest``
-next to it records how the run was made.  Resume and evaluation read the
-run back through ``parse_outputs`` (``resume`` and ``read_outputs``), both
-less a torn last line (``read_lines``), and ``read_manifest``: only this
-module knows the format.
+next to it records how the run was made.  A resumed run and evaluation
+read the outputs back the same way, ``parse_outputs`` of ``read_lines``
+(a torn last line set apart; ``read_outputs`` drops it), and the manifest
+through ``read_manifest``: only this module knows the format.
 """
 
 from __future__ import annotations
@@ -253,21 +253,6 @@ def read_lines(outputs_path: str | Path) -> tuple[list[bytes], bytes]:
 def read_outputs(outputs_path: str | Path) -> dict[tuple[str, str], tuple[int, OutputsLine]]:
     """``parse_outputs`` of an outputs file, less a torn last line (``read_lines``)."""
     return parse_outputs(read_lines(outputs_path)[0])
-
-
-def resume(outputs_path: Path) -> tuple[dict[tuple[str, str], tuple[str, bytes]], bytes]:
-    """{(record_id, shot): (prompt digest, line ended with a newline)} of the
-    lines already in the outputs file, in file order, and its torn last line
-    (``read_lines``).  The file is only read: ``end_outputs`` cuts that off.
-    """
-    if not outputs_path.exists():
-        return {}, b""
-    lines, torn = read_lines(outputs_path)
-    done = {
-        pair: (line.prompt_digest, lines[number - 1].removesuffix(b"\n") + b"\n")
-        for pair, (number, line) in parse_outputs(lines).items()
-    }
-    return done, torn
 
 
 def end_outputs(outputs_path: Path, torn: bytes) -> None:

@@ -60,6 +60,14 @@ class ScheduleProblem:
             raise SchedulerError(f"pv and base_load must have {n} entries")
         if not all(0 <= v < math.inf for v in self.pv + self.base_load):
             raise SchedulerError("pv and base_load must be finite and non-negative")
+        # Self-consumption is at most the pv total, so a finite total keeps it finite.
+        if not math.isfinite(sum(self.pv)):
+            raise SchedulerError("pv must have a finite total")
+        if not math.isfinite(self.appliance_kwh_per_slot):
+            raise SchedulerError(
+                f"appliance energy per slot must be finite: {self.appliance.power_kw} kW "
+                f"over {self.horizon.slot_minutes} minutes"
+            )
         if self.appliance.duration_slots > n:
             raise SchedulerError("appliance duration exceeds the horizon")
         if self.forced.horizon != self.horizon:

@@ -313,11 +313,14 @@ class TestRunAndEval:
         manifest_path_for(outputs).unlink()
         outputs.write_bytes(outputs.read_bytes() + b'{"record_id": "u1')  # torn last line
         before = outputs.read_bytes()
-        code, out, err = run_cli(capsys, "run", "--out", str(outputs), "--seed", "7")
-        assert code == 1 and out == ""
-        assert err.startswith("ManifestMismatchError: ") and "u01 [1s]" in err
-        assert outputs.read_bytes() == before
-        assert not manifest_path_for(outputs).exists()
+        # Under seed 7 the 1s prompt of u01 differs; a 0s-only run sends no 1s pair at all.
+        for flags in [(), ("--shots", "0s")]:
+            code, out, err = run_cli(capsys, "run", "--out", str(outputs), "--seed", "7", *flags)
+            assert code == 1 and out == ""
+            assert err.startswith("ManifestMismatchError: ") and "u01 [1s]" in err
+            assert err.count("\n") == 1
+            assert outputs.read_bytes() == before
+            assert not manifest_path_for(outputs).exists()
 
     def test_identical_stdout_across_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

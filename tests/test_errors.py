@@ -448,3 +448,25 @@ def test_a_swap_to_no_valid_value_exits_1(capsys, tmp_path, kind, path, value):
     argv, where = write(tmp_path, swapped(document, path, value))
     assert main(argv) == 1
     assert capsys.readouterr().err.partition(": ")[2].startswith(where)
+
+
+# Values that each pass the per-value check but overflow once combined: the
+# appliance's energy per slot, or the pv total that bounds self-consumption.
+OVERFLOWING_PROBLEMS = {
+    "power": dict(PROBLEM, appliance=dict(PROBLEM["appliance"], power_kw=1e308)),
+    "pv-total": dict(PROBLEM, pv=[1e308] * 24, base_load=[1e308] * 24),
+}
+
+
+@pytest.mark.parametrize("command", ["schedule", "check-functional"])
+@pytest.mark.parametrize("problem", OVERFLOWING_PROBLEMS.values(), ids=OVERFLOWING_PROBLEMS)
+def test_a_problem_whose_energy_overflows_is_refused_in_one_line(capsys, tmp_path, problem, command):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem), "utf-8")
+    argv = [command, "--problem", str(path), "--json"]
+    if command == "check-functional":
+        argv += ["--gold", "s_t = 1 ∀ 12:00 ≤ t ≤ 13:00", "--generated", "s_t = 1 ∀ 12:00 ≤ t ≤ 13:00"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"SchedulerError: {path}: ") and err.count("\n") == 1, err

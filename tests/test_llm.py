@@ -499,6 +499,35 @@ class TestRunExperiment:
             run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
         assert (outputs.read_bytes(), manifest_path_for(outputs).read_bytes()) == before
 
+    @pytest.mark.parametrize(
+        "shots,stray,named",
+        [
+            (("0s",), None, "u01 [1s]"),  # the seed-0 file, resumed as a 0s-only run
+            (("0s", "1s", "fs"), "u99", "u99 [0s]"),  # a record the corpus lacks
+        ],
+        ids=["shot-not-sent", "record-not-in-corpus"],
+    )
+    def test_resume_refuses_a_pair_it_does_not_send_before_writing(
+        self, pilot_manifest, pilot_records, tmp_path, shots, stray, named
+    ):
+        outputs = tmp_path / "run.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        manifest_path_for(outputs).unlink()
+        lines = outputs.read_bytes().splitlines(keepends=True)
+        if stray:
+            row = dict(json.loads(lines[0]), record_id=stray)
+            lines.insert(5, (json.dumps(row, ensure_ascii=False) + "\n").encode("utf-8"))
+        outputs.write_bytes(b"".join(lines) + b'{"record_id": "u1')  # torn last line
+        before = outputs.read_bytes()
+        manifest = replace(pilot_manifest, shot_labels=shots)
+        with pytest.raises(ManifestMismatchError) as excinfo:
+            run_experiment(manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert str(excinfo.value) == (
+            f"{outputs} holds a line for {named}, a pair this run does not send"
+        )
+        assert outputs.read_bytes() == before
+        assert not manifest_path_for(outputs).exists()
+
     def test_only_a_resume_builds_prompts_to_check(
         self, pilot_manifest, pilot_records, tmp_path, monkeypatch
     ):
