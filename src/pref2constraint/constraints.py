@@ -264,34 +264,36 @@ _LENIENT_RE, _LENIENT_PREFIXES = _grammar(
 _ANCHOR_RE = re.compile(rf"{_VAR.full}\s*{_EQ.full}", re.IGNORECASE)
 _TIME_LITERALS = re.compile(_TIME.full)
 _CONDITION_CLASSES = {cls.__name__: cls for cls, _ in _FORMS}
+# Every value a literal can denote is looked up, not built: each time of day
+# by its minutes, each state value and variable by its spelling.
+_TIME_POINTS = tuple(map(TimePoint, range(MINUTES_PER_DAY + 1)))
+_BINARY = {"0": Binary(0), "1": Binary(1)}
+_VARIABLES = {variable.value: variable for variable in Variable}
 
 
 def _parse_time_literal(text: str, position: int) -> TimePoint:
     """Convert a matched time literal (H, H:MM, H.MM, H,MM) to a TimePoint."""
-    if ":" in text or "." in text or "," in text:
-        hour_part, minute_part = re.split(r"[:.,]", text)
-        hour, minute = int(hour_part), int(minute_part)
-    else:
-        hour, minute = int(text), 0
+    # _TIME matched one or two hour digits, then at most a separator and two minute digits.
+    hour, minute = (int(text), 0) if len(text) <= 2 else (int(text[:-3]), int(text[-2:]))
     if minute > 59:
         raise ConstraintSyntaxError(f"invalid minutes in time literal '{text}'", position)
     total = hour * 60 + minute
     if total > MINUTES_PER_DAY:
         raise RangeError(f"time literal '{text}' is past 24:00")
-    return TimePoint(total)
+    return _TIME_POINTS[total]
 
 
 def _parse_value_literal(variable: Variable, text: str) -> ConstraintValue:
     if variable is Variable.STATE:
-        if text not in ("0", "1"):
+        if text not in _BINARY:
             raise PairingError(f"s_t only takes the binary values 0 or 1, got '{text}'")
-        return Binary(int(text))
+        return _BINARY[text]
     return Degrees(float(text.replace(",", ".")))
 
 
 def _constraint_from_match(m: re.Match[str]) -> Constraint:
     """Interpret a whole-constraint match of either spelling."""
-    variable = Variable(m.group("var").lower())
+    variable = _VARIABLES[m.group("var").lower()]
     value = _parse_value_literal(variable, m.group("val"))
     # The condition group is the last one to close, and the only digits in
     # it are its time literals, in order.

@@ -71,6 +71,12 @@ def _parse_object(value: object, parse: Callable[[dict], T], error: Callable[[st
         raise error(str(exc)) from exc
 
 
+# json.loads's C scanner and whitespace pattern.  A line the scanner reads whole
+# needs none of json.loads's other steps; any other line goes to json.loads.
+_scan = json.JSONDecoder().scan_once
+_whitespace = json.decoder.WHITESPACE.match
+
+
 def json_lines(
     lines: Iterable[bytes], error: type[LineError], parse: Callable[[dict], T]
 ) -> Iterator[tuple[int, T]]:
@@ -78,9 +84,14 @@ def json_lines(
     for line_number, raw in enumerate(lines, start=1):
         try:
             text = raw.decode("utf-8")
-            if not text.strip():
-                continue
-            value = json.loads(text)
+            try:
+                value, end = _scan(text, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end < 0 or _whitespace(text, end).end() != len(text):
+                if not text.strip():
+                    continue
+                value = json.loads(text)
         except ValueError as exc:  # UnicodeDecodeError is one too
             raise error(f"not UTF-8 JSON: {exc}", line_number) from exc
         yield line_number, _parse_object(value, parse, lambda message: error(message, line_number))

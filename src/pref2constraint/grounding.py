@@ -148,8 +148,8 @@ def _slot_range(window: tuple[int, int], horizon: Horizon) -> range:
     lo, hi = window
     m = horizon.slot_minutes
     first = -(-lo // m)  # ceil division
-    last = hi // m - 1
-    return range(max(first, 0), min(last, horizon.num_slots - 1) + 1)
+    last = hi // m - 1  # at most num_slots - 1, as a TimePoint is at most 24:00
+    return range(max(first, 0), last + 1)
 
 
 def _force(

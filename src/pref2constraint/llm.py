@@ -283,8 +283,7 @@ def _complete_all(
                     failures.append((rank, RunFailure(spec.target.id, spec.shot.label, str(exc))))
                     continue
                 line = OutputsLine(spec.target.id, spec.shot.label, prompt_digest(prompt), text)
-                encoded = (json.dumps(line._asdict(), ensure_ascii=False) + "\n").encode("utf-8")
-                finished.put((rank, encoded))
+                finished.put((rank, line.encode()))
                 write_finished()
         except BaseException as exc:  # raised by the calling thread once every worker returned
             stop.set()

@@ -2,7 +2,8 @@
 
 An outputs file holds one JSON line per completion, an ``OutputsLine``
 ({record_id, shot, prompt_digest, response_text}); the ``RunManifest``
-next to it records how the run was made.  A resumed run and evaluation
+next to it records how the run was made.  A run writes both, through
+``OutputsLine.encode`` and ``write_manifest``; a resumed run and evaluation
 read the outputs back the same way, ``parse_outputs`` of ``read_lines``
 (a torn last line set apart; ``read_outputs`` drops it), and the manifest
 through ``read_manifest``: only this module knows the format.
@@ -195,6 +196,10 @@ def differing_fields(existing: RunManifest, manifest: RunManifest) -> list[str]:
     ]
 
 
+# json.dumps(..., ensure_ascii=False), built once rather than per line.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 class OutputsLine(NamedTuple):
     """One line of an outputs file: the completion of one (record, shot) pair."""
 
@@ -202,6 +207,10 @@ class OutputsLine(NamedTuple):
     shot: str
     prompt_digest: str
     response_text: str
+
+    def encode(self) -> bytes:
+        """The line as written to an outputs file: UTF-8 JSON, non-ASCII kept, then a newline."""
+        return (_encode(self._asdict()) + "\n").encode("utf-8")
 
     @classmethod
     def from_dict(cls, data: dict) -> "OutputsLine":

@@ -8,6 +8,7 @@ implementations under test.
 from __future__ import annotations
 
 import hashlib
+import unicodedata
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -76,6 +77,35 @@ def match_counts_oracle(gold, extracted) -> tuple[int, int]:
         best_variables = max(best_variables, variables)
         best_conditions = max(best_conditions, conditions)
     return best_variables, best_conditions
+
+
+def time_literal_oracle(literal: str, position: int) -> tuple[str, object]:
+    """What reading a time literal that starts at ``position`` gives.
+
+    The literal is one or two digits, optionally followed by a separator
+    and two digits.  Digits of any script count, each read through
+    ``unicodedata.decimal``.  Returns ("TimePoint", minutes) or
+    (error class name, message): minutes past 59 are a syntax error, a
+    time past 24:00 a range error.
+    """
+    hour_digits, minute_digits = literal, ""
+    for index, char in enumerate(literal):
+        if not char.isdecimal():
+            hour_digits, minute_digits = literal[:index], literal[index + 1 :]
+            break
+    hour = minute = 0
+    for char in hour_digits:
+        hour = hour * 10 + unicodedata.decimal(char)
+    for char in minute_digits:
+        minute = minute * 10 + unicodedata.decimal(char)
+    if minute >= 60:
+        return (
+            "ConstraintSyntaxError",
+            f"invalid minutes in time literal '{literal}' (at position {position})",
+        )
+    if hour * 60 + minute > 24 * 60:
+        return "RangeError", f"time literal '{literal}' is past 24:00"
+    return "TimePoint", hour * 60 + minute
 
 
 def draw_oracle(dataset, target_id: str, k: int, seed: int, draws: int = 512) -> list[str]:

@@ -22,6 +22,8 @@ from pref2constraint.constraints import (
     render_constraint,
 )
 
+from oracles import time_literal_oracle
+
 
 def tp(hour, minute=0):
     return TimePoint.of(hour, minute)
@@ -366,3 +368,46 @@ class TestTimePoint:
         assert TimePoint(420).render() == "07:00"
         assert TimePoint(0).render() == "00:00"
         assert TimePoint(1440).render() == "24:00"
+
+
+# Hours 0-99 written with one or two digits, each bare and with each
+# separator and minutes 00-99, plus 23 and 23:30 in Arabic-Indic digits,
+# which the grammar's \d accepts.
+_HOURS = [str(hour) for hour in range(10)] + [f"{hour:02d}" for hour in range(100)]
+_LITERALS = {
+    "bare": _HOURS + ["\u0662\u0663"],
+    **{
+        separator: [f"{hour}{separator}{minute:02d}" for hour in _HOURS for minute in range(100)]
+        for separator in ":.,"
+    },
+}
+_LITERALS[":"].append("\u0662\u0663:\u0663\u0660")
+_ISSUE_ERRORS = {IssueKind.MALFORMED: "ConstraintSyntaxError", IssueKind.RANGE: "RangeError"}
+
+
+class TestTimeLiterals:
+    PREFIX = "s_t = 1 ∀ t ≥ "
+
+    @pytest.mark.parametrize("form", _LITERALS)
+    def test_strict_parse_reads_every_literal_as_the_oracle(self, form):
+        for literal in _LITERALS[form]:
+            try:
+                start = parse_constraint(self.PREFIX + literal).condition.start
+                got = ("TimePoint", start.minutes)
+            except (ConstraintSyntaxError, RangeError) as exc:
+                got = (type(exc).__name__, str(exc))
+            assert got == time_literal_oracle(literal, len(self.PREFIX)), literal
+
+    @pytest.mark.parametrize("form", _LITERALS)
+    def test_extraction_reads_every_literal_as_the_oracle(self, form):
+        for literal in _LITERALS[form]:
+            text = self.PREFIX + literal
+            constraints, issues = extract_constraints(text)
+            if constraints:
+                assert issues == [] and len(constraints) == 1, literal
+                got = ("TimePoint", constraints[0].condition.start.minutes)
+            else:
+                [issue] = issues
+                assert (issue.start, issue.end, issue.text) == (0, len(text), text), literal
+                got = (_ISSUE_ERRORS[issue.kind], issue.detail)
+            assert got == time_literal_oracle(literal, len(self.PREFIX)), literal

@@ -57,6 +57,31 @@ class TestJsonLines:
         assert str(excinfo.value).startswith("line 3: not UTF-8 JSON: ")
 
     @pytest.mark.parametrize(
+        "line",
+        [
+            b'  {"a": 1}\n', b'{"a": 1}\r\n', b'{"a": 1} \t\n', '\ufeff{"a": 1}\n'.encode("utf-8"),
+            b'{"a": 1} 2\n', b'{"a": 1}\x0c\n', b'{"a": NaN}\n', b'{"a": "\\ud800"}\n',
+            b'{"a": "x\ty"}\n', b'{"a": }\n',
+        ],
+        ids=[
+            "leading-spaces", "crlf", "trailing-space-tab", "bom", "extra-data", "trailing-form-feed",
+            "nan", "lone-surrogate-escape", "raw-tab-in-string", "missing-value",
+        ],
+    )
+    def test_a_line_reads_as_json_loads_reads_it(self, line):
+        try:
+            expected = json.loads(line.decode("utf-8"))
+        except ValueError as exc:
+            with pytest.raises(OddError) as excinfo:
+                list(json_lines([b"{}\n", line], OddError, dict))
+            assert str(excinfo.value) == f"line 2: not UTF-8 JSON: {exc}"
+        else:
+            # repr, so that NaN compares equal to itself
+            assert repr(list(json_lines([b"{}\n", line], OddError, dict))) == repr(
+                [(1, {}), (2, expected)]
+            )
+
+    @pytest.mark.parametrize(
         "line,named",
         [
             (b"null", "null"), (b"true", "boolean"), (b"5", "number"), (b"1.5", "number"),

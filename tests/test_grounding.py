@@ -162,6 +162,16 @@ class TestMerge:
             SlotConflict(47, "temperature", 20.0, 21.0),
         ]
 
+    @pytest.mark.parametrize(
+        "count,suffix",
+        [(5, ""), (6, ", … 1 more"), (7, ", … 2 more")],
+        ids=["five-all-shown", "six-one-more", "seven-two-more"],
+    )
+    def test_conflict_message_shows_the_first_five(self, count, suffix):
+        conflicts = [SlotConflict(slot, "state", 1, 0) for slot in range(count)]
+        shown = ", ".join(f"slot {slot} (state: 1 vs 0)" for slot in range(5))
+        assert str(ConflictError(conflicts)) == f"{count} conflicting slot(s): {shown}{suffix}"
+
     def test_horizon_mismatch(self):
         with pytest.raises(HorizonMismatchError):
             merge(GroundedAssignment(Horizon(30)), GroundedAssignment(Horizon(15)))
@@ -176,6 +186,13 @@ class TestSerialization:
         restored = GroundedAssignment.from_dict(data)
         assert restored.state == assignment.state
         assert restored.temperature == assignment.temperature
+
+    def test_from_dict_reads_a_state_of_zero(self):
+        state = [0, 1, None] * 8
+        restored = GroundedAssignment.from_dict(
+            {"slot_minutes": 60, "state": state, "temperature": [None] * 24}
+        )
+        assert restored.state == state
 
 
 # --- randomized oracle comparison ------------------------------------------

@@ -88,6 +88,17 @@ class TestSolve:
         with pytest.raises(InfeasibleError):
             solve(problem)
 
+    def test_appliance_running_the_whole_horizon_is_accepted(self):
+        schedule = solve(day_problem({5: 1.0}, duration=24))
+        assert schedule.on_slots == set(range(24))
+
+    def test_non_contiguous_with_exactly_enough_free_slots_is_feasible(self):
+        forced = GroundedAssignment(Horizon(60), state=[0] * 24)
+        forced.state[3] = 1
+        forced.state[8] = forced.state[20] = None
+        problem = day_problem({}, duration=3, contiguous=False, forced=forced)
+        assert solve(problem).on_slots == {3, 8, 20}
+
     def test_non_contiguous_picks_scattered_pv(self):
         problem = day_problem({2: 4.0, 9: 4.0}, contiguous=False)
         schedule = solve(problem)
