@@ -64,7 +64,7 @@ class HorizonMismatchError(GroundingError):
 class Horizon:
     """A full day divided into 1440 / slot_minutes equal slots."""
 
-    slot_minutes: int = 30
+    slot_minutes: int
 
     def __post_init__(self) -> None:
         if self.slot_minutes not in ALLOWED_SLOT_MINUTES:
@@ -147,9 +147,9 @@ def _slot_range(window: tuple[int, int], horizon: Horizon) -> range:
     """Indices of slots fully contained in the closed minute window."""
     lo, hi = window
     m = horizon.slot_minutes
-    first = -(-lo // m)  # ceil division
+    first = -(-lo // m)  # ceil division; at least 0, as a TimePoint is at least 00:00
     last = hi // m - 1  # at most num_slots - 1, as a TimePoint is at most 24:00
-    return range(max(first, 0), last + 1)
+    return range(first, last + 1)
 
 
 def _force(

@@ -77,6 +77,8 @@ class PromptTemplate:
     constraints_label: str  # the line after the target line
     examples_header: str  # the line above "{{examples}}"
     section_markers: tuple[str, ...]  # the "## " lines, in file order
+    pieces: tuple[tuple[str, ...], ...]  # split at each "{{target}}", then at "{{examples}}"
+    zero_shot_pieces: tuple[str, ...]  # the same, less "<examples_header>\n{{examples}}\n\n"
 
 
 DEFAULT_TEMPLATE_ID = "it"
@@ -108,13 +110,16 @@ def get_template(template_id: str) -> PromptTemplate:
     text = files[template_id].read_text(encoding="utf-8")
     lines = text.split("\n")
     target = next(i for i, line in enumerate(lines) if line.endswith(f" {TARGET}"))
-    examples = lines.index(EXAMPLES)
+    examples_header = lines[lines.index(EXAMPLES) - 1]
+    pieces = text.split(TARGET)
     return PromptTemplate(
         text=text,
         example_label=lines[target].removesuffix(f" {TARGET}"),
         constraints_label=lines[target + 1],
-        examples_header=lines[examples - 1],
+        examples_header=examples_header,
         section_markers=tuple(line for line in lines if line.startswith("## ")),
+        pieces=tuple(tuple(piece.split(EXAMPLES)) for piece in pieces),
+        zero_shot_pieces=tuple(p.replace(f"{examples_header}\n{EXAMPLES}\n\n", "") for p in pieces),
     )
 
 
@@ -123,7 +128,8 @@ def build_prompt(spec: PromptSpec, dataset: list[GoldRecord]) -> str:
 
     Each record renders its tagged utterance and canonical gold constraints
     once (``GoldRecord.tagged``, ``GoldRecord.canonical``), so later prompts
-    that show it reuse them.
+    that show it reuse them.  The template was split at its placeholders when read,
+    so only its text is searched: an utterance holding a placeholder goes in as written.
     """
     template = get_template(spec.template_id)
     by_id = {record.id: record for record in dataset}
@@ -134,13 +140,10 @@ def build_prompt(spec: PromptSpec, dataset: list[GoldRecord]) -> str:
         example = by_id[example_id]
         head = f"{template.example_label} {example.tagged}\n{template.constraints_label}"
         blocks.append("\n".join((head, *example.canonical)))
-    if blocks:
-        old, new = EXAMPLES, "\n\n".join(blocks)
-    else:  # drop the examples header, the placeholder and the blank line after them
-        old, new = f"{template.examples_header}\n{EXAMPLES}\n\n", ""
-    # Fill each piece between target placeholders, so no utterance is read as a placeholder.
-    pieces = (piece.replace(old, new) for piece in template.text.split(TARGET))
-    return spec.target.tagged.join(pieces)
+    if not blocks:
+        return spec.target.tagged.join(template.zero_shot_pieces)
+    examples = "\n\n".join(blocks)
+    return spec.target.tagged.join([examples.join(parts) for parts in template.pieces])
 
 
 class ExamplePool:

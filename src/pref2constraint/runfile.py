@@ -17,6 +17,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -196,10 +197,6 @@ def differing_fields(existing: RunManifest, manifest: RunManifest) -> list[str]:
     ]
 
 
-# json.dumps(..., ensure_ascii=False), built once rather than per line.
-_encode = json.JSONEncoder(ensure_ascii=False).encode
-
-
 class OutputsLine(NamedTuple):
     """One line of an outputs file: the completion of one (record, shot) pair."""
 
@@ -209,8 +206,9 @@ class OutputsLine(NamedTuple):
     response_text: str
 
     def encode(self) -> bytes:
-        """The line as written to an outputs file: UTF-8 JSON, non-ASCII kept, then a newline."""
-        return (_encode(self._asdict()) + "\n").encode("utf-8")
+        """The line as written to an outputs file: UTF-8 JSON, non-ASCII kept, then a newline,
+        each value through the string encoder of ``json.dumps(..., ensure_ascii=False)``."""
+        return (_LINE % tuple(map(encode_basestring, self))).encode("utf-8")
 
     @classmethod
     def from_dict(cls, data: dict) -> "OutputsLine":
@@ -220,6 +218,10 @@ class OutputsLine(NamedTuple):
         # Field by field, each looked up and type-checked before the next, so the
         # first missing or mistyped field is the one named.
         return cls._make([typed(data, name, "string") for name in cls._fields])
+
+
+# '{"record_id": %s, "shot": %s, "prompt_digest": %s, "response_text": %s}\n'
+_LINE = "{" + ", ".join(f'"{name}": %s' for name in OutputsLine._fields) + "}\n"
 
 
 def parse_outputs(lines: Iterable[bytes]) -> dict[tuple[str, str], tuple[int, OutputsLine]]:

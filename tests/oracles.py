@@ -79,6 +79,40 @@ def match_counts_oracle(gold, extracted) -> tuple[int, int]:
     return best_variables, best_conditions
 
 
+def prompt_oracle(template_text: str, target: str, examples) -> str:
+    """A prompt filled in by string replacement, one piece of the template at a time.
+
+    ``target`` is the tagged target utterance and ``examples`` a list of
+    (tagged utterance, canonical gold lines).  The labels come from the
+    template's lines: the example label is the text before " {{target}}" on
+    its line, the constraints label the line after it, and the examples
+    header the line above "{{examples}}".  An example block is "<example
+    label> <utterance>", the constraints label and the gold lines, one per
+    line; the blocks, a blank line apart, replace "{{examples}}".  With no
+    examples, the header, the placeholder and the blank line after them are
+    replaced by nothing.  The template is cut at each "{{target}}" first and
+    each piece filled on its own, then the pieces are joined by the target,
+    so a placeholder written in an utterance stays as written.
+    """
+    lines = template_text.split("\n")
+    target_line = [i for i, line in enumerate(lines) if line.endswith(" {{target}}")][0]
+    example_label = lines[target_line][: -len(" {{target}}")]
+    constraints_label = lines[target_line + 1]
+    examples_header = lines[lines.index("{{examples}}") - 1]
+    if examples:
+        blocks = []
+        for utterance, gold_lines in examples:
+            block = example_label + " " + utterance + "\n" + constraints_label
+            for gold_line in gold_lines:
+                block += "\n" + gold_line
+            blocks.append(block)
+        old, new = "{{examples}}", "\n\n".join(blocks)
+    else:
+        old, new = examples_header + "\n{{examples}}\n\n", ""
+    filled = [piece.replace(old, new) for piece in template_text.split("{{target}}")]
+    return target.join(filled)
+
+
 def time_literal_oracle(literal: str, position: int) -> tuple[str, object]:
     """What reading a time literal that starts at ``position`` gives.
 

@@ -14,6 +14,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from pref2constraint import dataset, llm, prompting
 from pref2constraint.dataset import (
@@ -422,6 +423,42 @@ class GatedBackend:
         if first and not self.release.wait(60):
             raise AssertionError("the first request was never released")
         return self._mock.send(request)
+
+
+def dumped(line):
+    """The oracle for ``OutputsLine.encode``: json.dumps of the line's dict, non-ASCII kept."""
+    return (json.dumps(line._asdict(), ensure_ascii=False) + "\n").encode()
+
+
+# Quotes, backslashes, every character JSON escapes, DEL, the two separators
+# JavaScript reads as line ends, non-BMP characters and Italian accents.
+ESCAPED = '"\\/' + "".join(map(chr, range(0x20))) + "\x7f\u2028\u2029😀𝄞\U0010ffffàèéìíòóùÈ€°∀≤≥"
+line_text = st.text(st.one_of(st.sampled_from(ESCAPED), st.characters(blacklist_categories=("Cs",))))
+
+
+class TestOutputsLineEncode:
+    def test_the_line_shape(self):
+        line = OutputsLine("u01", "1s", "ab", 'è "x"\n')
+        assert line.encode() == (
+            b'{"record_id": "u01", "shot": "1s", "prompt_digest": "ab", '
+            b'"response_text": "\xc3\xa8 \\"x\\"\\n"}\n'
+        )
+
+    @given(st.builds(OutputsLine, line_text, line_text, line_text, line_text))
+    @example(OutputsLine("u01", "fs", "0" * 64, 'h_t = 21 ∀ t "\\ \x00\x1f\x7f\u2028\u2029😀 perché'))
+    @example(OutputsLine("", "", "", ""))
+    def test_equals_json_dumps(self, line):
+        assert line.encode() == dumped(line)
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_a_lone_surrogate_raises_as_json_dumps_does(self, field):
+        values = ["u01", "0s", "0" * 64, "s_t = 1 ∀ t"]
+        values[field] = "a\ud800b"
+        line = OutputsLine(*values)
+        with pytest.raises(UnicodeEncodeError):
+            line.encode()
+        with pytest.raises(UnicodeEncodeError):
+            dumped(line)
 
 
 class TestRunExperiment:

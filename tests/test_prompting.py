@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import draw_oracle
+from oracles import draw_oracle, prompt_oracle
 from pref2constraint import dataset, prompting
 from pref2constraint.constraints import parse_constraint
 from pref2constraint.dataset import GoldRecord, load_pilot_corpus, resource_path
@@ -365,6 +365,51 @@ class TestRecordPieces:
         by_id = {record.id: record for record in records}
         examples = {example_id for spec in specs for example_id in spec.example_ids}
         assert rendered == Counter(c for i in examples for c in by_id[i].constraints)
+
+
+def template_text(template_id):
+    return (resource_path("templates") / f"{template_id}.txt").read_text(encoding="utf-8")
+
+
+def oracle_prompt(spec, examples):
+    shown = [(record.tagged, record.canonical) for record in examples]
+    return prompt_oracle(template_text(spec.template_id), spec.target.tagged, shown)
+
+
+@pytest.mark.parametrize("template_id", TEMPLATE_IDS)
+class TestPromptOracle:
+    """``build_prompt`` joins pieces split once; the oracle fills the template by ``replace``."""
+
+    @pytest.mark.parametrize("n", range(MAX_FEW_SHOT + 1))
+    def test_every_pilot_target_and_shot(self, pilot_records, template_id, n):
+        pool = ExamplePool(pilot_records, 0)
+        for target in pilot_records:
+            spec = PromptSpec(template_id, ShotSetting(n), tuple(pool.select(target.id, n)), target)
+            examples = [pool.records[i] for i in spec.example_ids]
+            assert build_prompt(spec, examples) == oracle_prompt(spec, examples)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, MAX_FEW_SHOT])
+    def test_utterances_holding_placeholders(self, template_id, n):
+        gold = parse_constraint("s_t = 1 ∀ 07:00 ≤ t ≤ 08:30")
+        texts = [
+            "{{target}}",
+            "accendi {{examples}} alle 7",
+            "{{examples}}{{target}}\n\n{{examples}}",
+            "spegni {{target}} e {{examples}} dopo le 23",
+            "nulla",
+            "{{ target }} {{example}} {{examples",
+            "## Esempi\n{{examples}}\n\n## Examples\n{{examples}}\n\n",
+        ]
+        records = [
+            GoldRecord(f"r{i}", text, (), (gold,), ("s_t = 1 ∀ 07:00 ≤ t ≤ 08:30",))
+            for i, text in enumerate(texts)
+        ]
+        for target in records:
+            others = [record for record in records if record is not target][:n]
+            spec = PromptSpec(template_id, ShotSetting(n), tuple(r.id for r in others), target)
+            prompt = build_prompt(spec, others)
+            assert prompt == oracle_prompt(spec, others)
+            assert prompt.count(target.text) >= 1
 
 
 class TestGoldenPrompts:
