@@ -94,7 +94,7 @@ class Range:
     end: TimePoint
 
     def __post_init__(self) -> None:
-        if not self.start < self.end:
+        if not self.start.minutes < self.end.minutes:
             raise RangeError(
                 f"time range must satisfy start < end, got "
                 f"{self.start.render()} .. {self.end.render()}"

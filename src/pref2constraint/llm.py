@@ -238,9 +238,10 @@ def _complete_all(
     one that then gets the write lock without waiting writes and flushes
     every queued line, so a finished line waits on no other request.  Returns
     the (rank, line) pairs in the order written and the (rank, failure) pairs
-    of the items whose completion raised a ``BackendError``.  Any other
-    exception, ``KeyboardInterrupt`` included, stops every worker from taking
-    another item, and is raised once they have all returned.
+    of the items whose completion raised a ``BackendError``, or held a lone
+    surrogate, which UTF-8 cannot encode (a backend may decode one from a JSON
+    escape).  Any other exception, ``KeyboardInterrupt`` included, stops every
+    worker from taking another item, and is raised once they have all returned.
     """
     items = iter(work)
     take, write = threading.Lock(), threading.Lock()
@@ -279,6 +280,13 @@ def _complete_all(
                 request = CompletionRequest(prompt, manifest.model_id, manifest.decoding)
                 try:
                     text = complete(backend, request).text
+                    try:
+                        text.encode()
+                    except UnicodeEncodeError as exc:
+                        raise MalformedBackendReply(
+                            f"completion holds the lone surrogate {exc.object[exc.start]!r}, "
+                            "which UTF-8 cannot encode"
+                        ) from None
                 except BackendError as exc:
                     failures.append((rank, RunFailure(spec.target.id, spec.shot.label, str(exc))))
                     continue

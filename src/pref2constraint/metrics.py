@@ -42,7 +42,7 @@ import json
 from dataclasses import dataclass, fields
 from functools import cache
 from itertools import accumulate
-from operator import add
+from operator import add, truediv
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -123,8 +123,9 @@ def chrf_counts(
     n-gram.  Only a repeated n-gram can then be overcounted: one occurring c
     times in the reference and f times in the hypothesis, 0 < f < c,
     overlapping occurrences included (``str.count`` skips overlaps), gives
-    back c - f.  No n-gram objects are built for the hypothesis.  ``grams`` is
-    ``reference_grams(reference)`` when the caller has already built it.
+    back c - f.  Single characters cannot overlap, so one ``str.count`` gives
+    f at order 1.  No n-gram objects are built for the hypothesis.  ``grams``
+    is ``reference_grams(reference)`` when the caller has already built it.
     """
     ref_totals = _totals(len(reference))
     hyp_totals = _totals(len(hypothesis))
@@ -148,9 +149,14 @@ def chrf_counts(
         longest[stop - i] += 1
     # Per order n from 1: the offsets whose match is at least n long.
     matched = list(accumulate(reversed(longest)))[-2::-1]
+    if grams:
+        for gram, count in grams[0]:
+            found = hypothesis.count(gram)
+            if 0 < found < count:
+                matched[0] -= count - found
     find = hypothesis.find
-    for order, repeated in enumerate(grams):
-        for gram, count in repeated:
+    for order in range(1, len(grams)):
+        for gram, count in grams[order]:
             found = 0
             at = find(gram)
             while at >= 0:
@@ -164,11 +170,16 @@ def chrf_counts(
 
 
 def _combine(matched: list[int], hyp_totals: list[int], ref_totals: list[int]) -> float:
-    """The F-score at β = 1 of mean precision and mean recall, in 0..100."""
-    precisions = [m / h for m, h in zip(matched, hyp_totals) if h > 0]
-    recalls = [m / r for m, r in zip(matched, ref_totals) if r > 0]
-    chr_p = sum(precisions) / len(precisions) if precisions else 0.0
-    chr_r = sum(recalls) / len(recalls) if recalls else 0.0
+    """The F-score at β = 1 of mean precision and mean recall, in 0..100.
+
+    A side's totals do not grow with the order, for one line and summed over
+    lines alike, so its orders with n-grams are the leading positive totals:
+    each mean divides over those, in order.
+    """
+    p_orders = len(hyp_totals) - hyp_totals.count(0)
+    r_orders = len(ref_totals) - ref_totals.count(0)
+    chr_p = sum(map(truediv, matched, hyp_totals[:p_orders])) / p_orders if p_orders else 0.0
+    chr_r = sum(map(truediv, matched, ref_totals[:r_orders])) / r_orders if r_orders else 0.0
     if chr_p == 0.0 and chr_r == 0.0:
         return 0.0
     return 100.0 * 2.0 * chr_p * chr_r / (chr_r + chr_p)
@@ -242,7 +253,9 @@ def _rounded(row) -> dict:
     return {key: round(v, 4) if isinstance(v, float) else v for key, v in values}
 
 
-@dataclass(frozen=True)
+# Not frozen: evaluate_run builds one per outputs line, and a frozen __init__ sets
+# each field through object.__setattr__.
+@dataclass(slots=True)
 class UtteranceScore:
     record_id: str
     chrf: float
@@ -332,15 +345,13 @@ def evaluate_run(
             if corpus_chrf:
                 for pool, part in zip(pooled[shot], counts):
                     pool[:] = map(add, pool, part)
-            matched_variables, matched_conditions = _match_counts(record.constraints, constraints)
             scored[shot][record_id] = UtteranceScore(
-                record_id=record_id,
-                chrf=_combine(*counts),
-                n_gold=len(record.constraints),
-                n_parsed=len(constraints),
-                n_issues=len(issues),
-                matched_variables=matched_variables,
-                matched_conditions=matched_conditions,
+                record_id,
+                _combine(*counts),
+                len(record.constraints),
+                len(constraints),
+                len(issues),
+                *_match_counts(record.constraints, constraints),
             )
 
     reports = []

@@ -53,6 +53,18 @@ def chrf_oracle(reference: str, hypothesis: str, beta: float = 1.0, max_n: int =
     return 100.0 * (1 + beta**2) * chr_p * chr_r / (chr_r + beta**2 * chr_p)
 
 
+def combine_oracle(matched: list[int], hyp_totals: list[int], ref_totals: list[int]) -> float:
+    """The F-score at β = 1 of mean precision and mean recall, each mean over the
+    orders whose total is positive, picked out one by one."""
+    precisions = [m / h for m, h in zip(matched, hyp_totals) if h > 0]
+    recalls = [m / r for m, r in zip(matched, ref_totals) if r > 0]
+    chr_p = sum(precisions) / len(precisions) if precisions else 0.0
+    chr_r = sum(recalls) / len(recalls) if recalls else 0.0
+    if chr_p == 0.0 and chr_r == 0.0:
+        return 0.0
+    return 100.0 * 2.0 * chr_p * chr_r / (chr_r + chr_p)
+
+
 def match_counts_oracle(gold, extracted) -> tuple[int, int]:
     """(matched variables, matched conditions) by brute-force maximum matching.
 

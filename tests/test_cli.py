@@ -6,7 +6,7 @@ import pytest
 
 from pref2constraint import cli, metrics
 from pref2constraint.cli import build_parser, main
-from pref2constraint.dataset import pilot_corpus_path
+from pref2constraint.dataset import mock_fixtures_path, pilot_corpus_path
 from pref2constraint.llm import run_experiment
 from pref2constraint.prompting import MAX_FEW_SHOT
 from pref2constraint.runfile import DecodingConfig, RunManifest, manifest_path_for, read_manifest
@@ -444,6 +444,22 @@ class TestRunAndEval:
         code, out, err = run_cli(capsys, "run", "--out", str(outputs), "--fixtures", str(path))
         assert (code, out, err) == (1, "", f"ConfigError: {path}: {named}\n")
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_run_reports_a_completion_holding_a_lone_surrogate_as_one_failure(
+        self, capsys, tmp_path
+    ):
+        fixtures = json.loads(mock_fixtures_path().read_text("utf-8"))
+        fixtures[next(iter(fixtures))] = "\ud800"
+        path = tmp_path / "fixtures.json"
+        path.write_text(json.dumps(fixtures), "utf-8")  # the surrogate as a JSON escape
+        outputs = tmp_path / "sur.jsonl"
+        code, out, err = run_cli(capsys, "run", "--fixtures", str(path), "--out", str(outputs))
+        assert (code, out) == (0, f"completed 77, skipped 0, failed 1 -> {outputs}\n")
+        (failed,) = err.splitlines()
+        assert failed.startswith("failed: u") and failed.endswith(
+            "]: completion holds the lone surrogate '\\ud800', which UTF-8 cannot encode"
+        )
+        assert len(outputs.read_bytes().splitlines()) == 77
 
     @pytest.mark.parametrize("command", ["eval", "run"])
     def test_manifest_with_an_unknown_decoding_setting_is_one_line_error(

@@ -33,6 +33,7 @@ from pref2constraint.llm import (
     ModelResponse,
     OpenAICompatBackend,
     RateLimitedError,
+    RunFailure,
     ServerError,
     complete,
     prompt_digest,
@@ -700,6 +701,38 @@ class TestRunExperiment:
         assert first.completed == 78 - len(failed)
         resumed = run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
         assert resumed.skipped == first.completed and resumed.completed == len(failed)
+        assert outputs.read_bytes() == clean.read_bytes()
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_a_completion_holding_a_lone_surrogate_fails_its_pair_alone(
+        self, pilot_manifest, pilot_records, tmp_path, concurrency
+    ):
+        clean = tmp_path / "clean.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), clean)
+        lines = clean.read_bytes().splitlines(keepends=True)
+        broken = json.loads(lines[4])
+        mock = shipped_mock_backend()
+
+        class Surrogate:
+            """The shipped mock, but one pair's completion holds a lone surrogate."""
+
+            name = "surrogate"
+
+            def send(self, request):
+                if prompt_digest(request.prompt) == broken["prompt_digest"]:
+                    return ModelResponse("s_t = 1 \ud800", 0.0, self.name)
+                return mock.send(request)
+
+        outputs = tmp_path / "run.jsonl"
+        summary = run_experiment(
+            pilot_manifest, pilot_records, Surrogate(), outputs, concurrency=concurrency
+        )
+        error = "completion holds the lone surrogate '\\ud800', which UTF-8 cannot encode"
+        assert summary.failures == [RunFailure(broken["record_id"], broken["shot"], error)]
+        assert summary.completed == 77
+        assert outputs.read_bytes() == b"".join(lines[:4] + lines[5:])
+        resumed = run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert (resumed.skipped, resumed.completed) == (77, 1)
         assert outputs.read_bytes() == clean.read_bytes()
 
     @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import random
 import string
 from collections import Counter
+from operator import add
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -31,7 +33,7 @@ from pref2constraint.metrics import (
 from pref2constraint.prompting import SHOT_LABELS
 from pref2constraint.runfile import CorruptOutputsError, RunManifest
 
-from oracles import chrf_counts_oracle, chrf_oracle, match_counts_oracle
+from oracles import chrf_counts_oracle, chrf_oracle, combine_oracle, match_counts_oracle
 from reference_rows import REFERENCE_BASELINE_ROWS
 
 
@@ -95,6 +97,12 @@ class TestChrf:
     @example("abcabc", "cab")
     @example("aaaa", "aab")
     @example("abababab", "babba")
+    # Characters repeated in the reference, held fewer times by the hypothesis.
+    @example("0:00", "0")
+    @example("aaab", "ab")
+    @example("0:00", "x0")
+    @example("aaab", "bxa")
+    @example("0:00", "x1")
     def test_counts_equal_oracle_property(self, a, b):
         assert chrf_counts(a, b) == chrf_counts_oracle(a, b)
         assert chrf_counts(a, b) == chrf_counts(a, b, reference_grams(a))
@@ -136,6 +144,37 @@ class TestChrf:
             for hypothesis in hypotheses:
                 expected = chrf_counts_oracle(reference, hypothesis)
                 assert chrf_counts(reference, hypothesis, grams) == expected
+
+    def test_combine_equals_oracle_exactly_on_pilot_counts(self, pilot_records):
+        # Every canonical reference against every mock response, one by one and pooled.
+        references = [strip_whitespace(gold_reference_string(r)) for r in pilot_records]
+        responses = json.loads(mock_fixtures_path().read_text("utf-8")).values()
+        hypotheses = [strip_whitespace(text) for text in responses]
+        assert (len(references), len(hypotheses)) == (26, 78)
+        pooled = [[0] * 6 for _ in range(3)]
+        for reference in references:
+            pooled_reference = [[0] * 6 for _ in range(3)]
+            for hypothesis in hypotheses:
+                counts = chrf_counts(reference, hypothesis)
+                assert _combine(*counts) == combine_oracle(*counts)
+                for pools in (pooled, pooled_reference):
+                    for pool, part in zip(pools, counts):
+                        pool[:] = map(add, pool, part)
+            assert _combine(*pooled_reference) == combine_oracle(*pooled_reference)
+        assert _combine(*pooled) == combine_oracle(*pooled)
+
+    COUNTS = st.lists(st.integers(0, 40), min_size=6, max_size=6)
+
+    @given(COUNTS, COUNTS, COUNTS)
+    @example([0] * 6, [0] * 6, [0] * 6)
+    @example([3] * 6, [1, 0, 0, 0, 0, 0], [7, 6, 5, 4, 3, 2])
+    def test_combine_equals_oracle_exactly_on_non_increasing_totals(self, matched, hyp, ref):
+        # Totals as chrf_counts and pooling give them: non-increasing with the order.
+        hyp_totals, ref_totals = sorted(hyp, reverse=True), sorted(ref, reverse=True)
+        matched = [min(m, h, r) for m, h, r in zip(matched, hyp_totals, ref_totals)]
+        assert _combine(matched, hyp_totals, ref_totals) == combine_oracle(
+            matched, hyp_totals, ref_totals
+        )
 
     def test_reference_grams_keep_only_repeats_up_to_the_first_clean_order(self):
         assert reference_grams("abab") == [[("a", 2), ("b", 2)], [("ab", 2)]]
@@ -339,6 +378,14 @@ class TestEvaluateRun:
         for report in reports:
             in_file = [rid for rid, shot, _ in self.INTERLEAVED if shot == report.shot]
             assert [u.record_id for u in report.per_utterance] == in_file
+
+    def test_a_row_is_a_dataclass_whose_dict_is_its_rounded_fields(self, tmp_path):
+        row = self.evaluate_lines(tmp_path / "run.jsonl", self.INTERLEAVED)[0].per_utterance[0]
+        assert dataclasses.replace(row) == row != dataclasses.astuple(row)
+        assert row.to_dict() == {
+            key: round(value, 4) if isinstance(value, float) else value
+            for key, value in dataclasses.asdict(row).items()
+        }
 
     def test_shot_major_lines_score_as_interleaved(self, tmp_path):
         shots = ["fs", "0s", "1s"]
