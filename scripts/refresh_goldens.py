@@ -6,9 +6,14 @@ the command's default: the three prompt goldens (zero/one/few-shot for
 target u01) by ``prompt --json``, and the two evaluation reports of the
 mock-backend run over the shipped pilot corpus, mean per-utterance chrF
 (``eval_report.json``) and pooled chrF (``eval_report_corpus_chrf.json``),
-by ``run`` then ``eval --report``.  Rerun after any deliberate change to
-templates, corpus, fixtures, or report format, and review the diff before
-committing.
+by ``run`` then ``eval --report``.  For each committed scheduling problem
+``problem_<name>.json`` it writes ``schedule --problem P --json`` to
+``schedule_<name>.json`` and one ``check-functional ... --json`` to
+``check_functional_<name>.json``: ``readme`` is the README's contiguous example,
+``ties`` a non-contiguous day with one slot forced on where more free slots tie
+at the top gain than the appliance needs.  Rerun after any deliberate change to
+templates, corpus, fixtures, scheduler, or report format, and review the diff
+before committing.
 """
 
 from __future__ import annotations
@@ -26,6 +31,11 @@ from pref2constraint.cli import main as cli  # noqa: E402
 from pref2constraint.prompting import SHOT_LABELS  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "goldens"
+# The gold and generated constraints each problem's check-functional golden is run with.
+FUNCTIONAL_CHECKS = {
+    "readme": (["s_t = 1 ∀ 12:00 ≤ t ≤ 14:00"], ["s_t = 1 ∀ 12:00 ≤ t ≤ 14:00"]),
+    "ties": (["s_t = 1 ∀ 09:00 ≤ t ≤ 10:00"], ["s_t = 0 ∀ t ≥ 15:00"]),
+}
 
 
 def run_cli(*argv: str) -> str:
@@ -52,6 +62,17 @@ def main() -> None:
             out = GOLDEN_DIR / f"{name}.json"
             run_cli("eval", "--outputs", outputs, "--report", str(out), *flags)
             print(f"wrote {out}")
+    for name, (gold, generated) in FUNCTIONAL_CHECKS.items():
+        problem = str(GOLDEN_DIR / f"problem_{name}.json")
+        for out, argv in (
+            (f"schedule_{name}.json", ("schedule", "--problem", problem)),
+            (
+                f"check_functional_{name}.json",
+                ("check-functional", "--problem", problem, "--gold", *gold, "--generated", *generated),
+            ),
+        ):
+            (GOLDEN_DIR / out).write_text(run_cli(*argv, "--json"), encoding="utf-8")
+            print(f"wrote {GOLDEN_DIR / out}")
 
 
 if __name__ == "__main__":

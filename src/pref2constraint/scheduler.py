@@ -3,10 +3,10 @@
 Places a fixed-duration appliance run on the day so as to maximize the
 energy served from local PV production, Σ_t min(pv_t, base_load_t +
 appliance_t), while honoring every slot forced by grounded constraints.
-The objective is separable, so the optimum is the best window over
-prefix sums of per-slot gains for a contiguous run and the top gains
-otherwise, on any horizon.  Ties go to the earliest placement in
-lexicographic slot order, so results are deterministic.
+The objective is separable, so on any horizon a contiguous run takes the
+earliest best window over prefix sums of per-slot gains, and any other run
+its forced-on slots plus the free slots of highest exact gain, earliest
+first among equal gains (a stable descending sort); results are deterministic.
 
 This is a stand-in for the real community-level optimizer: just enough
 model for generated constraints to have observable consequences.
@@ -17,12 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from heapq import nlargest
 from itertools import accumulate
 from pathlib import Path
 
 from .constraints import Constraint
 from .errors import Pref2ConstraintError, read_json_object, typed, typed_array
 from .grounding import ConflictError, GroundedAssignment, Horizon, ground, merge
+
+_ZERO = Fraction(0)  # the gain of every slot whose pv does not exceed its base load
 
 
 class SchedulerError(Pref2ConstraintError):
@@ -132,9 +135,11 @@ def self_consumption(problem: ScheduleProblem, on_slots: frozenset[int]) -> floa
 def solve(problem: ScheduleProblem) -> Schedule:
     """Best feasible placement, earliest-slots tie-break.
 
-    Placements are compared by their exact gain over the float inputs,
-    so a tie is an exact one: gains of 0.3 − 0.2 and 0.2 − 0.1 differ in
-    binary and are *not* a tie, while two slots that each add 0.3 are.
+    A non-contiguous run takes the forced-on slots plus the ``missing`` free
+    slots of highest gain, earliest first among equal gains: ``nlargest`` is a
+    stable descending sort.  Placements are compared by their exact gain over
+    the float inputs, so a tie is an exact one: gains of 0.3 − 0.2 and 0.2 − 0.1
+    differ in binary and are *not* a tie, while two slots that each add 0.3 are.
     """
     must_on = problem.forced.forced_state_slots(1)
     duration = problem.appliance.duration_slots
@@ -147,7 +152,7 @@ def solve(problem: ScheduleProblem) -> Schedule:
     # switching slot t on adds min(pv, base + e) − min(pv, base), whatever else is on
     per_slot = Fraction(problem.appliance_kwh_per_slot)
     gains = [
-        min(Fraction(pv) - Fraction(base), per_slot) if pv > base else Fraction(0)
+        min(Fraction(pv) - Fraction(base), per_slot) if pv > base else _ZERO
         for pv, base in zip(problem.pv, problem.base_load)
     ]
     if problem.appliance.contiguous:
@@ -163,11 +168,10 @@ def solve(problem: ScheduleProblem) -> Schedule:
         on_slots = frozenset(range(best, best + duration))
     else:
         free = [slot for slot, value in enumerate(state) if value is None]
-        free.sort(key=lambda slot: (-gains[slot], slot))
         missing = duration - len(must_on)
         if len(free) < missing:
             raise InfeasibleError("no placement satisfies the forced slots")
-        on_slots = frozenset(must_on) | frozenset(free[:missing])
+        on_slots = frozenset(must_on) | frozenset(nlargest(missing, free, key=gains.__getitem__))
     return Schedule(on_slots, self_consumption(problem, on_slots), feasible=True)
 
 
@@ -223,12 +227,8 @@ def check_functional(
                 False, f"slot {slot} must be off per gold constraints", schedule
             )
     for slot, degrees in enumerate(gold_grounded.temperature):
-        if degrees is None:
-            continue
-        if generated_grounded.temperature[slot] != degrees:
+        if degrees is not None and generated_grounded.temperature[slot] != degrees:
             return FunctionalCheck(
-                False,
-                f"slot {slot} must hold {degrees} °C per gold constraints",
-                schedule,
+                False, f"slot {slot} must hold {degrees} °C per gold constraints", schedule
             )
     return FunctionalCheck(True, None, schedule)

@@ -1,6 +1,8 @@
 import inspect
 import json
 import math
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,11 @@ from pref2constraint.dataset import mock_fixtures_path, pilot_corpus_path
 from pref2constraint.llm import run_experiment
 from pref2constraint.prompting import MAX_FEW_SHOT
 from pref2constraint.runfile import DecodingConfig, RunManifest, manifest_path_for, read_manifest
+
+# The constraints of each scheduler golden's check-functional, read from the script writing them.
+FUNCTIONAL_CHECKS = runpy.run_path(
+    str(Path(__file__).parents[1] / "scripts" / "refresh_goldens.py")
+)["FUNCTIONAL_CHECKS"]
 
 
 def run_cli(capsys, *argv):
@@ -815,6 +822,20 @@ class TestScheduleCommands:
         path.write_text(json.dumps(problem), "utf-8")
         code, out, err = run_cli(capsys, *argv, "--json", "--problem", str(path))
         assert (code, out, err) == (0, stdout, "")
+
+    @pytest.mark.parametrize("name", FUNCTIONAL_CHECKS)
+    def test_json_stdout_matches_the_scheduler_goldens(self, capsys, golden_dir, name):
+        problem = str(golden_dir / f"problem_{name}.json")
+        gold, generated = FUNCTIONAL_CHECKS[name]
+        for argv, golden in (
+            (["schedule"], f"schedule_{name}.json"),
+            (
+                ["check-functional", "--gold", *gold, "--generated", *generated],
+                f"check_functional_{name}.json",
+            ),
+        ):
+            code, out, err = run_cli(capsys, *argv, "--problem", problem, "--json")
+            assert (code, out, err) == (0, (golden_dir / golden).read_text("utf-8"), "")
 
 
 class TestUsage:

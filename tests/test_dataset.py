@@ -143,6 +143,23 @@ class TestLoad:
             load_dataset(path)
         assert excinfo.value.line_number == 2
 
+    @pytest.mark.parametrize(
+        "field,value,surrogate",
+        [("id", "u\ud800", "\ud800"), ("text", SAMPLE_RECORD["text"] + " \udfff!", "\udfff")],
+        ids=["id", "text"],
+    )
+    def test_a_field_holding_a_lone_surrogate_reports_line(self, tmp_path, field, value, surrogate):
+        # json.dumps writes the surrogate as the JSON escape a corpus file would hold
+        path = tmp_path / "surrogate.jsonl"
+        bad = {**SAMPLE_RECORD, "id": "u02", field: value}
+        path.write_text(json.dumps(SAMPLE_RECORD) + "\n" + json.dumps(bad) + "\n", "utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == (
+            f"line 2: {field!r} holds the lone surrogate {surrogate!r}, which UTF-8 cannot encode"
+        )
+        assert excinfo.value.line_number == 2
+
     def test_reserialize_round_trip(self, tmp_path, pilot_records):
         out = tmp_path / "copy.jsonl"
         dump_dataset(pilot_records, out)

@@ -475,6 +475,37 @@ def test_a_swap_to_no_valid_value_exits_1(capsys, tmp_path, kind, path, value):
     assert capsys.readouterr().err.partition(": ")[2].startswith(where)
 
 
+# A string no type swap reaches: one that holds a lone surrogate (a JSON escape such
+# as \ud800 decodes to one), which no output file can then be written in.
+SURROGATE_COMMANDS = {
+    "validate-data": ["--data", "CORPUS"],
+    "prompt": ["--data", "CORPUS", "--target-id", "u02", "--shot", "0s"],
+    "run": ["--data", "CORPUS", "--out", "OUT", "--shots", "0s", "--concurrency", "1"],
+    "eval": ["--gold", "CORPUS", "--outputs", "OUT", "--model", "m"],
+}
+
+
+@pytest.mark.parametrize("field", ["id", "text"])
+@pytest.mark.parametrize("command", SURROGATE_COMMANDS)
+def test_a_corpus_string_holding_a_lone_surrogate_is_refused_in_one_line(
+    capsys, tmp_path, command, field
+):
+    corpus = tmp_path / "corpus.jsonl"
+    lines = pilot_corpus_path().read_text("utf-8").splitlines(keepends=True)
+    first = json.loads(lines[0])
+    first[field] += "\ud800"
+    corpus.write_text(json.dumps(first) + "\n" + "".join(lines[1:]), "utf-8")
+    paths = {"CORPUS": str(corpus), "OUT": str(tmp_path / "run.jsonl")}
+    assert main([command, *(paths.get(arg, arg) for arg in SURROGATE_COMMANDS[command])]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"SchemaError: line 1: {field!r} holds the lone surrogate '\\ud800', "
+        "which UTF-8 cannot encode\n"
+    )
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+
 # Values that each pass the per-value check but overflow once combined: the
 # appliance's energy per slot, or the pv total that bounds self-consumption.
 OVERFLOWING_PROBLEMS = {

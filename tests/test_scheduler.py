@@ -147,6 +147,12 @@ class TestSolve:
                               contiguous=contiguous, base_load=load)
         assert solve(problem).on_slots == {20}
 
+    def test_a_slot_without_surplus_adds_exactly_nothing_to_a_window(self):
+        # windows 1-2, 3-4 and 4-5 each add exactly 0.5 kWh; the later two hold a
+        # slot whose pv does not exceed its base load, and the earliest wins the tie
+        problem = day_problem({1: 0.5, 2: 0.5, 4: 0.75, 5: 0.25}, power_kw=1.0, base_load=[0.25] * 24)
+        assert solve(problem).on_slots == {1, 2}
+
     def test_base_load_soaks_pv_first(self):
         # PV at slot 1 is already eaten by base load, so the appliance
         # gains nothing there beyond the remainder
