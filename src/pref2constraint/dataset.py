@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .constraints import Constraint, ConstraintError, parse_constraint, render_constraint
-from .errors import LineError, Pref2ConstraintError, json_lines, typed, typed_array
+from .errors import LineError, Pref2ConstraintError, encodable, json_lines, typed, typed_array
 
 SPAN_KINDS = ("time", "temperature")
 
@@ -103,25 +103,9 @@ def _spans(text: str, raw_spans: list[dict]) -> tuple[Span, ...]:
     return tuple(spans)
 
 
-def _encodable(raw: dict, name: str) -> str:
-    """The string ``raw[name]``, refused if it holds a lone surrogate, which UTF-8 cannot encode.
-
-    A JSON escape such as ``\\ud800`` decodes to one, and no prompt digest or
-    outputs line could then be written for the record.
-    """
-    value = typed(raw, name, "string")
-    try:
-        value.encode()
-    except UnicodeEncodeError as exc:
-        raise ValueError(
-            f"{name!r} holds the lone surrogate {exc.object[exc.start]!r}, which UTF-8 cannot encode"
-        ) from None
-    return value
-
-
 def _record_fields(raw: dict) -> tuple[str, str, tuple[Span, ...], tuple[str, ...]]:
     """(id, text, spans, constraint texts) of a corpus line; the constraints are parsed later."""
-    record_id, text = _encodable(raw, "id"), _encodable(raw, "text")
+    record_id, text = (encodable(typed(raw, name, "string"), repr(name)) for name in ("id", "text"))
     spans = _spans(text, typed_array(raw, "spans", "object"))
     constraint_texts = tuple(typed_array(raw, "constraints", "string"))
     if spans and not constraint_texts:

@@ -1,8 +1,9 @@
 """Shared exception base, and the one way each JSON or JSONL input file is read and fails.
 
 Every fault in an input's shape is worded here: a value that is not a JSON
-object, a missing field, a field of another JSON type.  A reader declares its
-fields with ``typed`` and ``typed_array`` and words only its domain rules.
+object, a missing field, a field of another JSON type, text UTF-8 cannot
+encode.  A reader declares its fields with ``typed``, ``typed_array`` and
+``encodable`` and words only its domain rules.
 """
 
 import json
@@ -57,6 +58,22 @@ def typed_array(data: dict, name: str, kind: str) -> list:
         if type(value) not in types:
             raise TypeError(f"{name!r} entries must be {entries}, got {json.dumps(value)}")
     return [float(value) for value in values] if kind == "number" else values
+
+
+def encodable(text: str, name: str, error: Callable[[str], Exception] = ValueError) -> str:
+    """``text`` if UTF-8 can encode it; else ``error`` naming ``name`` and the lone surrogate in it.
+
+    A JSON escape such as ``\\ud800`` decodes to one, as does a command-line
+    byte that is not UTF-8 (``\\xff`` becomes ``\\udcff``), and no file could
+    then be written with the text.
+    """
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        raise error(
+            f"{name} holds the lone surrogate {exc.object[exc.start]!r}, which UTF-8 cannot encode"
+        ) from None
+    return text
 
 
 def _parse_object(value: object, parse: Callable[[dict], T], error: Callable[[str], Exception]) -> T:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Protocol
 
 from .dataset import GoldRecord
-from .errors import Pref2ConstraintError, read_json_object, typed
+from .errors import Pref2ConstraintError, encodable, read_json_object, typed
 from .prompting import ExamplePool, PromptSpec, build_prompt, get_template
 from .runfile import (
     ConfigError, DecodingConfig, ManifestMismatchError, OutputsLine, RunManifest, differing_fields,
@@ -229,70 +228,56 @@ def _complete_all(
 ) -> tuple[list[tuple[int, bytes]], list[tuple[int, RunFailure]]]:
     """Complete each (rank, spec) item and append its line to ``out``.
 
-    The calling thread and up to ``concurrency - 1`` helper threads each take
-    the next item from one shared iterator and, still holding the take lock,
-    render its prompt from the examples in ``records`` (by id).  So one
-    thread at a time fills a record's prompt pieces (``GoldRecord.tagged``,
-    ``.canonical``), each once, and at most ``concurrency`` rendered prompts
-    are held at once.  Each worker completes its item and queues its line;
-    one that then gets the write lock without waiting writes and flushes
-    every queued line, so a finished line waits on no other request.  Returns
-    the (rank, line) pairs in the order written and the (rank, failure) pairs
-    of the items whose completion raised a ``BackendError``, or held a lone
-    surrogate, which UTF-8 cannot encode (a backend may decode one from a JSON
-    escape).  Any other exception, ``KeyboardInterrupt`` included, stops every
-    worker from taking another item, and is raised once they have all returned.
+    The calling thread and up to ``concurrency - 1`` helper threads share one
+    lock.  Holding it, a worker writes and flushes its finished line, if it
+    has one, takes the next item from one shared iterator and renders its
+    prompt from the examples in ``records`` (by id).  So one thread at a time
+    fills a record's prompt pieces (``GoldRecord.tagged``, ``.canonical``),
+    each once, at most ``concurrency`` rendered prompts are held at once, and
+    a worker writes its line before it takes another item: a finished line
+    waits on no other request, only on a worker that holds the lock to render
+    or write.  Returns the (rank, line) pairs in the order written and the
+    (rank, failure) pairs of the items whose completion raised a
+    ``BackendError``, or held a lone surrogate (``encodable``; a backend may
+    decode one from a JSON escape).  Any other exception, ``KeyboardInterrupt``
+    included, stops every worker from taking another item, and is raised once
+    they have all written their lines and returned.
     """
+    # Measured in perfbench's `replicated` items/s (alternated pairs, shared 2-vCPU VM,
+    # Python 3.11.7) against a take lock beside a queue of finished lines, drained by
+    # whichever worker got a second, non-blocking write lock: a blocking write lock beside
+    # the take lock cost 32-42 % and a lock-free O_APPEND write per line 3-25 % (median
+    # 7 %, 10 s runs); this one lock cost 1.2 % and 2.5 % (8 s runs, seeds 1 and 13).
     items = iter(work)
-    take, write = threading.Lock(), threading.Lock()
-    finished: queue.SimpleQueue[tuple[int, bytes]] = queue.SimpleQueue()
+    lock = threading.Lock()
     written: list[tuple[int, bytes]] = []
     failures: list[tuple[int, RunFailure]] = []
     errors: list[BaseException] = []
     stop = threading.Event()
 
-    def write_finished() -> None:
-        # Non-blocking on purpose. Measured against this drain in perfbench's `replicated`
-        # items/s (10 s runs, shared 2-vCPU VM, Python 3.11.7): one blocking write lock
-        # cost 32-42 %, and a lock-free O_APPEND write per line 3-25 % (median 7 %).
-        # The queue is checked again after each release: a line queued while another
-        # worker held the lock found it taken, so it is written on the next pass.
-        while not finished.empty() and write.acquire(blocking=False):
-            try:
-                batch = []
-                while not finished.empty():  # only the lock holder takes from the queue
-                    batch.append(finished.get())
-                out.write(b"".join(line for _, line in batch))
-                out.flush()
-                written.extend(batch)
-            finally:
-                write.release()
-
     def work_loop() -> None:
+        line = None  # this worker's finished (rank, line), written when it next holds the lock
         try:
-            while not stop.is_set():
-                with take:
-                    item = next(items, None)
-                    if item is None:
+            while True:
+                with lock:
+                    if line:
+                        out.write(line[1])
+                        out.flush()
+                        written.append(line)
+                        line = None
+                    if stop.is_set() or (item := next(items, None)) is None:
                         return
                     rank, spec = item
                     prompt = build_prompt(spec, [records[i] for i in spec.example_ids])
                 request = CompletionRequest(prompt, manifest.model_id, manifest.decoding)
                 try:
                     text = complete(backend, request).text
-                    try:
-                        text.encode()
-                    except UnicodeEncodeError as exc:
-                        raise MalformedBackendReply(
-                            f"completion holds the lone surrogate {exc.object[exc.start]!r}, "
-                            "which UTF-8 cannot encode"
-                        ) from None
+                    encodable(text, "completion", MalformedBackendReply)
                 except BackendError as exc:
                     failures.append((rank, RunFailure(spec.target.id, spec.shot.label, str(exc))))
                     continue
-                line = OutputsLine(spec.target.id, spec.shot.label, prompt_digest(prompt), text)
-                finished.put((rank, line.encode()))
-                write_finished()
+                digest = prompt_digest(prompt)
+                line = rank, OutputsLine(spec.target.id, spec.shot.label, digest, text).encode()
         except BaseException as exc:  # raised by the calling thread once every worker returned
             stop.set()
             errors.append(exc)
@@ -306,7 +291,6 @@ def _complete_all(
         stop.set()
         for helper in helpers:
             helper.join()
-    write_finished()  # a line queued by a worker stopped before it could write
     if errors:
         raise errors[0]
     return written, failures

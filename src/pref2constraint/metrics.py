@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 
 from .constraints import Constraint, extract_constraints
 from .dataset import GoldRecord
-from .errors import LineError, Pref2ConstraintError
+from .errors import LineError, Pref2ConstraintError, encodable
 from .runfile import read_manifest, read_outputs
 
 
@@ -122,10 +122,10 @@ def chrf_counts(
     match too.  An offset whose match is at least n long holds a matching
     n-gram.  Only a repeated n-gram can then be overcounted: one occurring c
     times in the reference and f times in the hypothesis, 0 < f < c,
-    overlapping occurrences included (``str.count`` skips overlaps), gives
-    back c - f.  Single characters cannot overlap, so one ``str.count`` gives
-    f at order 1.  No n-gram objects are built for the hypothesis.  ``grams``
-    is ``reference_grams(reference)`` when the caller has already built it.
+    overlapping occurrences included (``str.count`` skips overlaps, so f is
+    found with ``str.find``, up to c), gives back c - f.  No n-gram objects
+    are built for the hypothesis.  ``grams`` is ``reference_grams(reference)``
+    when the caller has already built it.
     """
     ref_totals = _totals(len(reference))
     hyp_totals = _totals(len(hypothesis))
@@ -149,13 +149,8 @@ def chrf_counts(
         longest[stop - i] += 1
     # Per order n from 1: the offsets whose match is at least n long.
     matched = list(accumulate(reversed(longest)))[-2::-1]
-    if grams:
-        for gram, count in grams[0]:
-            found = hypothesis.count(gram)
-            if 0 < found < count:
-                matched[0] -= count - found
     find = hypothesis.find
-    for order in range(1, len(grams)):
+    for order in range(len(grams)):
         for gram, count in grams[order]:
             found = 0
             at = find(gram)
@@ -281,6 +276,7 @@ class EvalReport:
     per_utterance: tuple[UtteranceScore, ...]
 
     def __post_init__(self) -> None:
+        encodable(self.model_id, "'model_id'", MetricsError)
         if not 0.0 <= self.chrf <= 100.0:
             raise MetricsError(f"chrf {self.chrf} outside 0..100")
         for name in ("acc_variables", "acc_conditions", "acc_avg"):

@@ -21,7 +21,9 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import LineError, Pref2ConstraintError, json_lines, read_json_object, typed, typed_array
+from .errors import (
+    LineError, Pref2ConstraintError, encodable, json_lines, read_json_object, typed, typed_array,
+)
 from .prompting import MAX_FEW_SHOT, ShotSetting
 
 
@@ -80,6 +82,8 @@ class RunManifest:
     timestamp: str
 
     def __post_init__(self) -> None:
+        for name in ("dataset_path", "model_id", "template_id"):  # each is written to the manifest
+            encodable(getattr(self, name), repr(name), ConfigError)
         if not self.shot_labels:
             raise ConfigError("shot labels must not be empty")
         if len(set(self.shot_labels)) != len(self.shot_labels):

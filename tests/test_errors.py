@@ -506,6 +506,53 @@ def test_a_corpus_string_holding_a_lone_surrogate_is_refused_in_one_line(
     assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.jsonl"]
 
 
+# A name given on the command line that UTF-8 cannot encode: Python decodes each
+# argv byte that is not UTF-8 (a path or model named with \xff) to a lone surrogate
+# (\udcff), which no manifest or report can then be written with.
+NAME_COMMANDS = {
+    "run-data": (["run", "--data", "c\udcff.jsonl", "--out", "run.jsonl"], "ConfigError: 'dataset_path'"),
+    "run-model": (["run", "--model", "m\udcff", "--out", "run.jsonl"], "ConfigError: 'model_id'"),
+    "eval-model": (
+        ["eval", "--outputs", "good.jsonl", "--model", "m\udcff", "--report", "rep.json"],
+        "MetricsError: 'model_id'",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,error", NAME_COMMANDS.values(), ids=NAME_COMMANDS)
+def test_a_name_utf8_cannot_encode_is_refused_in_one_line(capsys, tmp_path, monkeypatch, argv, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c\udcff.jsonl").write_bytes(pilot_corpus_path().read_bytes())
+    assert main(["run", "--out", "good.jsonl", "--shots", "0s"]) == 0
+    files = sorted(path.name for path in tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"{error} holds the lone surrogate '\\udcff', which UTF-8 cannot encode\n"
+    )
+    assert sorted(path.name for path in tmp_path.iterdir()) == files
+    if argv[0] == "run":  # nothing was left in the way of a good run into the same --out
+        assert main(["run", "--out", "run.jsonl", "--shots", "0s"]) == 0
+        assert (tmp_path / "run.jsonl").read_bytes() == (tmp_path / "good.jsonl").read_bytes()
+
+
+def test_a_manifest_model_id_utf8_cannot_encode_is_refused_by_eval(capsys, tmp_path):
+    outputs, report = tmp_path / "run.jsonl", tmp_path / "rep.json"
+    assert main(["run", "--out", str(outputs), "--shots", "0s"]) == 0
+    manifest = manifest_path_for(outputs)
+    data = json.loads(manifest.read_text("utf-8"))
+    data["model_id"] = "\ud800"
+    manifest.write_text(json.dumps(data), "utf-8")  # the surrogate as a JSON escape
+    capsys.readouterr()
+    assert main(["eval", "--outputs", str(outputs), "--report", str(report)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"CorruptManifestError: {manifest}: 'model_id' holds the lone surrogate '\\ud800', "
+        "which UTF-8 cannot encode\n",
+    )
+    assert not report.exists()
+
+
 # Values that each pass the per-value check but overflow once combined: the
 # appliance's energy per slot, or the pv total that bounds self-consumption.
 OVERFLOWING_PROBLEMS = {

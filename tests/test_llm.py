@@ -853,6 +853,30 @@ class TestRunExperiment:
         assert copy.tagged == copy.tagged == tag_utterance(copy) != records[0].tagged
         assert tagged == Counter({copy.id: 1})
 
+    def test_one_thread_at_a_time_renders(self, pilot_manifest, pilot_records, tmp_path, monkeypatch):
+        build_prompt, lock = llm.build_prompt, threading.Lock()
+        running = most = 0
+
+        def watched(*args, **kwargs):
+            nonlocal running, most
+            with lock:
+                running += 1
+                most = max(most, running)
+            try:
+                time.sleep(0.001)  # the other workers run meanwhile
+                return build_prompt(*args, **kwargs)
+            finally:
+                with lock:
+                    running -= 1
+
+        monkeypatch.setattr(llm, "build_prompt", watched)
+        outputs = tmp_path / "run.jsonl"
+        summary = run_experiment(
+            pilot_manifest, pilot_records, shipped_mock_backend(), outputs, concurrency=4
+        )
+        assert summary.completed == 78 and not summary.failures
+        assert most == 1
+
     def test_each_prompt_is_built_just_before_it_is_sent(
         self, pilot_manifest, pilot_records, tmp_path, monkeypatch
     ):
