@@ -25,9 +25,10 @@ each offset the longest slice of up to 6 characters that the response
 contains: an offset whose match is n long or more holds a matching n-gram.
 Only an n-gram that repeats in the reference can match more often than the
 response holds it, so ``reference_grams`` lists the repeated n-grams alone,
-with their counts, and the response is searched for each to clip it.  A
-record builds that table once, and only when one of its lines takes the
-scan.  No n-gram objects are built for the response.
+with their counts, and the response is searched for each to clip it.  It
+keeps its last table, and a record's lines are scored one after another, so
+a record builds it once, only if a line takes the scan.  No n-gram objects
+are built for the response.
 
 The accuracy metrics compare extracted constraints against gold per
 utterance: a maximum matching under an equality predicate — variable kind
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from operator import add, truediv
 from pathlib import Path
@@ -75,26 +76,24 @@ CHRF_ORDERS = range(1, 7)  # character n-gram orders 1..6
 ReferenceGrams = list[list[tuple[str, int]]]
 
 
+@lru_cache(maxsize=1)
 def reference_grams(reference: str) -> ReferenceGrams:
     """Per order from 1: (n-gram, count) of the n-grams that occur more than once in ``reference``.
 
-    The table ends before the first order with no repeat: a repeated
-    (n+1)-gram's n-prefix repeats too, so no higher order has one.  For the
-    same reason only the starts of repeated n-grams are extended to order n+1.
+    Every n-gram of each order is counted, up to the first order with no repeat:
+    a repeated (n+1)-gram's n-prefix repeats too, so no higher order has one.
+    The last table is kept and shared, so callers only read it.
     """
     grams: ReferenceGrams = []
-    starts = range(len(reference))
     for n in CHRF_ORDERS:
         counts: dict[str, int] = {}
-        for i in starts:
+        for i in range(len(reference) - n + 1):
             gram = reference[i : i + n]
             counts[gram] = counts.get(gram, 0) + 1
         repeated = [(gram, count) for gram, count in counts.items() if count > 1]
         if not repeated:
             break
         grams.append(repeated)
-        last = len(reference) - n - 1  # the last start of an (n+1)-gram
-        starts = [i for i in starts if i <= last and counts[reference[i : i + n]] > 1]
     return grams
 
 
@@ -104,9 +103,7 @@ def _totals(length: int) -> tuple[int, ...]:
     return tuple(max(0, length - n + 1) for n in CHRF_ORDERS)
 
 
-def chrf_counts(
-    reference: str, hypothesis: str, grams: ReferenceGrams | None = None
-) -> tuple[list[int], list[int], list[int]]:
+def chrf_counts(reference: str, hypothesis: str) -> tuple[list[int], list[int], list[int]]:
     """Per-order (matched, hypothesis total, reference total) n-gram counts.
 
     A string of length L has max(0, L - n + 1) n-grams of order n; only the
@@ -124,8 +121,8 @@ def chrf_counts(
     times in the reference and f times in the hypothesis, 0 < f < c,
     overlapping occurrences included (``str.count`` skips overlaps, so f is
     found with ``str.find``, up to c), gives back c - f.  No n-gram objects
-    are built for the hypothesis.  ``grams`` is ``reference_grams(reference)``
-    when the caller has already built it.
+    are built for the hypothesis.  The repeated n-grams come from
+    ``reference_grams``, which keeps the table of the last reference.
     """
     ref_totals = _totals(len(reference))
     hyp_totals = _totals(len(hypothesis))
@@ -133,8 +130,6 @@ def chrf_counts(
         return list(ref_totals), list(hyp_totals), list(ref_totals)
     if hypothesis in reference:
         return list(hyp_totals), list(hyp_totals), list(ref_totals)
-    if grams is None:
-        grams = reference_grams(reference)
     longest = [0] * 7  # match length -> number of reference offsets with that longest match
     stop = 0  # end of the previous offset's match
     end = len(reference)
@@ -150,8 +145,8 @@ def chrf_counts(
     # Per order n from 1: the offsets whose match is at least n long.
     matched = list(accumulate(reversed(longest)))[-2::-1]
     find = hypothesis.find
-    for order in range(len(grams)):
-        for gram, count in grams[order]:
+    for order, repeated in enumerate(reference_grams(reference)):
+        for gram, count in repeated:
             found = 0
             at = find(gram)
             while at >= 0:
@@ -331,13 +326,10 @@ def evaluate_run(
     for record_id, shot_responses in responses.items():
         record = by_id[record_id]
         reference = strip_whitespace(gold_reference_string(record))
-        grams = None  # built at the record's first line where neither side contains the other
         for shot, response in shot_responses.items():
             constraints, issues = extract_constraints(response)
             hypothesis = strip_whitespace(response)
-            if grams is None and reference not in hypothesis and hypothesis not in reference:
-                grams = reference_grams(reference)
-            counts = chrf_counts(reference, hypothesis, grams)
+            counts = chrf_counts(reference, hypothesis)
             if corpus_chrf:
                 for pool, part in zip(pooled[shot], counts):
                     pool[:] = map(add, pool, part)

@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple
 from .errors import (
     LineError, Pref2ConstraintError, encodable, json_lines, read_json_object, typed, typed_array,
 )
-from .prompting import MAX_FEW_SHOT, ShotSetting
+from .prompting import MAX_FEW_SHOT, SHOT_LABELS, ShotSetting
 
 
 class ManifestMismatchError(Pref2ConstraintError):
@@ -216,12 +216,12 @@ class OutputsLine(NamedTuple):
 
     @classmethod
     def from_dict(cls, data: dict) -> "OutputsLine":
-        line = cls._make(map(data.get, cls._fields))
-        if all(map(str.__instancecheck__, line)):
-            return line
         # Field by field, each looked up and type-checked before the next, so the
         # first missing or mistyped field is the one named.
-        return cls._make([typed(data, name, "string") for name in cls._fields])
+        line = cls._make([typed(data, name, "string") for name in cls._fields])
+        if line.shot not in SHOT_LABELS:
+            raise ValueError(f"unknown shot label {line.shot!r} (expected 0s, 1s or fs)")
+        return line
 
 
 # '{"record_id": %s, "shot": %s, "prompt_digest": %s, "response_text": %s}\n'
@@ -233,8 +233,8 @@ def parse_outputs(lines: Iterable[bytes]) -> dict[tuple[str, str], tuple[int, Ou
 
     Blank lines are skipped.  The first line that is not a UTF-8 JSON object
     with string ``record_id``, ``shot``, ``prompt_digest`` and
-    ``response_text``, or that repeats a (record, shot) pair, raises
-    CorruptOutputsError.
+    ``response_text``, whose shot is not ``0s``, ``1s`` or ``fs``, or that
+    repeats a (record, shot) pair, raises CorruptOutputsError.
     """
     rows: dict[tuple[str, str], tuple[int, OutputsLine]] = {}
     for line_number, line in json_lines(lines, CorruptOutputsError, OutputsLine.from_dict):

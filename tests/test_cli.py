@@ -2,16 +2,22 @@ import inspect
 import json
 import math
 import runpy
+from collections import defaultdict
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from pref2constraint import cli, metrics
 from pref2constraint.cli import build_parser, main
-from pref2constraint.dataset import mock_fixtures_path, pilot_corpus_path
-from pref2constraint.llm import run_experiment
-from pref2constraint.prompting import MAX_FEW_SHOT
-from pref2constraint.runfile import DecodingConfig, RunManifest, manifest_path_for, read_manifest
+from pref2constraint.dataset import load_dataset, mock_fixtures_path, pilot_corpus_path
+from pref2constraint.llm import MockBackend, run_experiment
+from pref2constraint.prompting import DEFAULT_TEMPLATE_ID, MAX_FEW_SHOT, SHOT_LABELS
+from pref2constraint.runfile import (
+    DecodingConfig, RunManifest, manifest_path_for, read_manifest, read_outputs,
+)
+
+from oracles import chrf_counts_oracle, combine_oracle
 
 # The constraints of each scheduler golden's check-functional, read from the script writing them.
 FUNCTIONAL_CHECKS = runpy.run_path(
@@ -569,6 +575,95 @@ class TestRunAndEval:
         assert code == 1 and out == ""
         assert err == f"ConfigError: endpoint must be an http:// or https:// URL, got {endpoint!r}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestPaperShapedRun:
+    """42 utterances with 1-3 gold constraints each, as in the paper's test set, answered
+    by a graded mock whose accuracies are known in closed form."""
+
+    N_RECORDS = 42
+
+    def compose(self, path):
+        """Record i joins 1 + (i mod 3) pilot records, from the i-th on, cyclically: texts
+        joined with "; ", spans shifted to match, gold lines concatenated.  No two texts
+        are the same, so no two records share a prompt."""
+        pilot = [json.loads(line) for line in pilot_corpus_path().read_text("utf-8").splitlines()]
+        with open(path, "w", encoding="utf-8") as handle:
+            for i in range(self.N_RECORDS):
+                texts, spans, constraints = [], [], []
+                offset = 0
+                for j in range(1 + i % 3):
+                    piece = pilot[(i + j) % len(pilot)]
+                    texts.append(piece["text"])
+                    spans += [dict(span, start=span["start"] + offset, end=span["end"] + offset)
+                              for span in piece["spans"]]
+                    constraints += piece["constraints"]
+                    offset += len(piece["text"]) + 2
+                record = {"id": f"p{i:02d}", "text": "; ".join(texts), "spans": spans,
+                          "constraints": constraints}
+                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+    @staticmethod
+    def graded_k(index, shot, n_gold):
+        """How many of its n gold constraints, from the first, record ``index`` answers at ``shot``."""
+        return (index + SHOT_LABELS.index(shot)) % (n_gold + 1)
+
+    @staticmethod
+    def answer(record, k):
+        """The first ``k`` gold constraints, last first: an answer of two or more is no part
+        of its reference, so its chrF takes the scan and the repeated-gram table."""
+        return "\n".join(reversed(record.canonical[:k]))
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_accuracies_are_the_per_utterance_means_of_the_plan(self, capsys, tmp_path, concurrency):
+        corpus, fixtures = tmp_path / "paper.jsonl", tmp_path / "graded.json"
+        self.compose(corpus)
+        records = load_dataset(corpus)
+        assert sorted({len(r.constraints) for r in records}) == [1, 2, 3]
+        # The digest of each prompt a default run sends, recorded by a backend answering "".
+        manifest = RunManifest.create(corpus, DEFAULT_TEMPLATE_ID, SHOT_LABELS, "mock-model")
+        probe = tmp_path / "probe.jsonl"
+        run_experiment(manifest, records, MockBackend(defaultdict(str)), probe)
+        index = {record.id: i for i, record in enumerate(records)}
+        answers = {}
+        for _, line in read_outputs(probe).values():
+            record = records[index[line.record_id]]
+            k = self.graded_k(index[line.record_id], line.shot, len(record.constraints))
+            answers[line.prompt_digest] = self.answer(record, k)
+        assert len(answers) == len(records) * len(SHOT_LABELS)
+        fixtures.write_text(json.dumps(answers, ensure_ascii=False), "utf-8")
+
+        outputs = tmp_path / "run.jsonl"
+        code, _, err = run_cli(
+            capsys, "run", "--data", str(corpus), "--out", str(outputs), "--fixtures", str(fixtures),
+            "--concurrency", str(concurrency),
+        )
+        assert (code, err) == (0, "")
+        code, out, _ = run_cli(capsys, "eval", "--outputs", str(outputs), "--json")
+        assert code == 0
+        reports = {report["prompt"]: report for report in json.loads(out)["reports"]}
+        assert list(reports) == list(SHOT_LABELS)
+
+        plans = {
+            shot: [Fraction(self.graded_k(i, shot, len(r.constraints)), len(r.constraints))
+                   for i, r in enumerate(records)]
+            for shot in SHOT_LABELS
+        }
+        means = {shot: sum(plan) / len(plan) for shot, plan in plans.items()}
+        # The paper's rows fit means over 42 utterances: numerators over 252 = 42 * 6.
+        assert means == {"0s": Fraction(126, 252), "1s": Fraction(172, 252), "fs": Fraction(84, 252)}
+        for shot, report in reports.items():
+            assert report["n_utterances"] == self.N_RECORDS
+            assert report["acc_variables"] == report["acc_conditions"] == round(float(means[shot]), 4)
+            for i, (row, record) in enumerate(zip(report["per_utterance"], records)):
+                k = self.graded_k(i, shot, len(record.constraints))
+                assert row["record_id"] == record.id
+                assert row["n_gold"] == len(record.constraints)
+                assert row["n_parsed"] == row["matched_variables"] == row["matched_conditions"] == k
+                reference = "".join(" ".join(record.canonical).split())
+                hypothesis = "".join(self.answer(record, k).split())
+                oracle = combine_oracle(*chrf_counts_oracle(reference, hypothesis))
+                assert row["chrf"] == round(oracle, 4)
 
 
 class TestScheduleCommands:

@@ -461,6 +461,7 @@ def test_a_type_swapped_value_is_refused_in_one_grammar(capsys, tmp_path, kind, 
 NEVER_VALID = {
     "manifest-shot_labels-[]",
     'manifest-shot_labels.0-"x"',
+    'outputs-shot-"x"',
     "outputs-prompt_digest-null",
     "outputs-prompt_digest-[1]",
     'outputs-prompt_digest-{"a": 1}',

@@ -566,6 +566,23 @@ class TestRunExperiment:
         assert outputs.read_bytes() == before
         assert not manifest_path_for(outputs).exists()
 
+    def test_resume_refuses_a_line_whose_shot_is_no_label_before_writing(
+        self, pilot_manifest, pilot_records, tmp_path
+    ):
+        outputs = tmp_path / "run.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        manifest_path_for(outputs).unlink()
+        lines = outputs.read_bytes().splitlines(keepends=True)
+        row = dict(json.loads(lines[0]), shot="x")
+        lines.insert(5, (json.dumps(row, ensure_ascii=False) + "\n").encode("utf-8"))
+        outputs.write_bytes(b"".join(lines))
+        before = outputs.read_bytes()
+        with pytest.raises(CorruptOutputsError) as excinfo:
+            run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), outputs)
+        assert str(excinfo.value) == "line 6: unknown shot label 'x' (expected 0s, 1s or fs)"
+        assert outputs.read_bytes() == before
+        assert not manifest_path_for(outputs).exists()
+
     def test_only_a_resume_builds_prompts_to_check(
         self, pilot_manifest, pilot_records, tmp_path, monkeypatch
     ):

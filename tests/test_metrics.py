@@ -105,7 +105,8 @@ class TestChrf:
     @example("0:00", "x1")
     def test_counts_equal_oracle_property(self, a, b):
         assert chrf_counts(a, b) == chrf_counts_oracle(a, b)
-        assert chrf_counts(a, b) == chrf_counts(a, b, reference_grams(a))
+        reference_grams.cache_clear()  # the table built afresh, not the last example's
+        assert chrf_counts(a, b) == chrf_counts_oracle(a, b)
 
     @given(
         st.text(alphabet="ab∀", max_size=6),
@@ -140,10 +141,9 @@ class TestChrf:
         hypotheses = [strip_whitespace(text) for text in responses]
         assert (len(references), len(hypotheses)) == (26, 78)
         for reference in references:
-            grams = reference_grams(reference)
             for hypothesis in hypotheses:
                 expected = chrf_counts_oracle(reference, hypothesis)
-                assert chrf_counts(reference, hypothesis, grams) == expected
+                assert chrf_counts(reference, hypothesis) == expected
 
     def test_combine_equals_oracle_exactly_on_pilot_counts(self, pilot_records):
         # Every canonical reference against every mock response, one by one and pooled.
@@ -404,6 +404,34 @@ class TestEvaluateRun:
             }
 
         assert rows(interleaved_path, self.INTERLEAVED) == rows(shot_major_path, shot_major)
+
+    def test_a_shuffled_copied_run_builds_each_records_table_at_most_once(
+        self, tmp_path, pilot_records, golden_dir
+    ):
+        # The pilot run copied under fresh ids, its lines seed-shuffled, as the rescore
+        # benchmark writes it: a record's lines are scattered over the file.
+        pilot_run = tmp_path / "pilot.jsonl"
+        manifest = RunManifest.create(pilot_corpus_path(), "it", SHOT_LABELS, "mock-model")
+        run_experiment(manifest, pilot_records, MockBackend.from_file(mock_fixtures_path()), pilot_run)
+        lines = [json.loads(line) for line in pilot_run.read_text("utf-8").splitlines()]
+        copies = range(4)
+        gold = [dataclasses.replace(r, id=f"{r.id}-{c}") for c in copies for r in pilot_records]
+        rows = [dict(row, record_id=f"{row['record_id']}-{c}") for c in copies for row in lines]
+        random.Random(1).shuffle(rows)
+        outputs = tmp_path / "run.jsonl"
+        write_outputs(outputs, rows)
+        reference_grams.cache_clear()
+        reports = evaluate_run(outputs, gold, model_id="mock-model")
+        assert reference_grams.cache_info().misses <= len(gold)
+        golden = {
+            report["prompt"]: {row["record_id"]: row for row in report["per_utterance"]}
+            for report in json.loads((golden_dir / "eval_report.json").read_text("utf-8"))["reports"]
+        }
+        for report in reports:
+            assert report.n_utterances == len(gold)
+            for row in report.per_utterance:
+                source = golden[report.shot][row.record_id.rpartition("-")[0]]
+                assert row.to_dict() == dict(source, record_id=row.record_id)
 
     def test_empty_response_scores_zero_not_error(self, tmp_path):
         outputs = tmp_path / "run.jsonl"
