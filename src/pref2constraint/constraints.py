@@ -27,6 +27,7 @@ output cut off inside a constraint, are built from one token definition;
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -224,10 +225,8 @@ _FORMS: tuple[tuple[type, tuple[_Token, ...]], ...] = (
 )
 
 
-def _grammar(
-    quantifier: _Token, flags: int = 0
-) -> tuple[re.Pattern[str], tuple[re.Pattern[str], ...]]:
-    """Compile the whole-constraint pattern and one prefix pattern per form.
+def _grammar(quantifier: _Token) -> tuple[str, list[str]]:
+    """The whole-constraint pattern and one prefix pattern per form.
 
     Tokens are separated by optional whitespace.  The whole pattern
     captures ``var``, ``val`` and the condition, named after its class.  A
@@ -243,26 +242,41 @@ def _grammar(
         f"(?P<{cls.__name__}>{sep.join(token.full for token in tokens)})"
         for cls, tokens in _FORMS
     )
-    prefixes = (
+    prefixes = [
         sep + "(?:" + _nested([f"(?:{t.full}{sep}|{t.cut})" for t in head + tokens]) + ")?"
         for _, tokens in _FORMS
-    )
-    return (
-        re.compile(f"{whole}{sep}(?:{forms})", flags),
-        tuple(re.compile(prefix, flags) for prefix in prefixes),
-    )
+    ]
+    return f"{whole}{sep}(?:{forms})", prefixes
 
 
 # Strict spelling for curated data; the lenient one adds "for all" and any
-# letter case for model output.
-_STRICT_RE, _STRICT_PREFIXES = _grammar(_Token((("∀",), tuple("forall"))))
-_LENIENT_RE, _LENIENT_PREFIXES = _grammar(
-    _Token((("∀",), ("f", "o", "r", r"\s*", "a", "l", "l"))), re.IGNORECASE
-)
-# Where the extractor looks for candidates: a variable followed by '=',
-# in any letter case, like the lenient pattern that reads from there.
-_ANCHOR_RE = re.compile(rf"{_VAR.full}\s*{_EQ.full}", re.IGNORECASE)
+# letter case for model output.  Import compiles only what a successful
+# strict parse reads; the rest compiles once, on first use.
+_STRICT = _grammar(_Token((("∀",), tuple("forall"))))
+_LENIENT = _grammar(_Token((("∀",), ("f", "o", "r", r"\s*", "a", "l", "l"))))
+_STRICT_RE = re.compile(_STRICT[0])
 _TIME_LITERALS = re.compile(_TIME.full)
+
+
+@functools.cache
+def _strict_prefixes() -> tuple[re.Pattern[str], ...]:
+    """Where a failed strict parse stops; compiled on the first failure."""
+    return tuple(map(re.compile, _STRICT[1]))
+
+
+@functools.cache
+def _lenient() -> tuple[re.Pattern[str], re.Pattern[str], tuple[re.Pattern[str], ...]]:
+    """The extractor's grammar, compiled on the first extraction: where it looks
+    for candidates (a variable followed by '=', in any letter case, like the
+    pattern that reads from there), the whole pattern and the prefix patterns."""
+    whole, prefixes = _LENIENT
+    return (
+        re.compile(rf"{_VAR.full}\s*{_EQ.full}", re.IGNORECASE),
+        re.compile(whole, re.IGNORECASE),
+        tuple(re.compile(prefix, re.IGNORECASE) for prefix in prefixes),
+    )
+
+
 _CONDITION_CLASSES = {cls.__name__: cls for cls, _ in _FORMS}
 # Every value a literal can denote is looked up, not built: each time of day
 # by its minutes, each state value and variable by its spelling.
@@ -293,7 +307,8 @@ def _parse_value_literal(variable: Variable, text: str) -> ConstraintValue:
 
 def _constraint_from_match(m: re.Match[str]) -> Constraint:
     """Interpret a whole-constraint match of either spelling."""
-    variable = _VARIABLES[m.group("var").lower()]
+    # Case folding, not lower(): an IGNORECASE [sh] also matches 'ſ', which folds to 's'.
+    variable = _VARIABLES[m.group("var").casefold()]
     value = _parse_value_literal(variable, m.group("val"))
     # The condition group is the last one to close, and the only digits in
     # it are its time literals, in order.
@@ -316,7 +331,7 @@ def parse_constraint(text: str) -> Constraint:
     """
     m = _STRICT_RE.match(text)
     if m is None or text[m.end() :].strip():
-        position = max(prefix.match(text).end() for prefix in _STRICT_PREFIXES)
+        position = max(prefix.match(text).end() for prefix in _strict_prefixes())
         if m is not None:
             message = "unexpected trailing text"
         elif position == len(text):
@@ -384,12 +399,13 @@ def extract_constraints(model_output: str) -> tuple[list[Constraint], list[Extra
     plus one ExtractionIssue per rejected candidate (truncated, malformed,
     bad pairing, or out-of-range literal).
     """
+    anchor_re, whole_re, prefixes = _lenient()
     constraints: list[Constraint] = []
     issues: list[ExtractionIssue] = []
     pos = 0
-    while (anchor := _ANCHOR_RE.search(model_output, pos)) is not None:
+    while (anchor := anchor_re.search(model_output, pos)) is not None:
         start = anchor.start()
-        full = _LENIENT_RE.match(model_output, start)
+        full = whole_re.match(model_output, start)
         if full is not None:
             try:
                 constraints.append(_constraint_from_match(full))
@@ -397,7 +413,7 @@ def extract_constraints(model_output: str) -> tuple[list[Constraint], list[Extra
                 kind = _ISSUE_KINDS[type(exc)]
                 issues.append(ExtractionIssue(start, full.end(), full.group(), kind, str(exc)))
             pos = full.end()
-        elif any(prefix.fullmatch(model_output, start) for prefix in _LENIENT_PREFIXES):
+        elif any(prefix.fullmatch(model_output, start) for prefix in prefixes):
             snippet = model_output[start:]
             detail = "candidate cut off at end of output"
             issues.append(

@@ -16,7 +16,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
-from datetime import datetime, timezone
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -102,6 +101,10 @@ class RunManifest:
         seed: int = 0,
         few_shot_k: int = MAX_FEW_SHOT,
     ) -> "RunManifest":
+        # Imported here: only a new manifest reads the clock, and every command
+        # and import that makes none would pay the start-up time for nothing.
+        from datetime import datetime, timezone
+
         return cls(
             dataset_path=str(dataset_path),
             dataset_sha256=file_sha256(dataset_path),

@@ -91,6 +91,23 @@ def match_counts_oracle(gold, extracted) -> tuple[int, int]:
     return best_variables, best_conditions
 
 
+def planned_accuracy_oracle(gold_lines: list[str], answer_lines: list[str]) -> tuple[Fraction, Fraction]:
+    """One utterance's planned (variables, conditions) accuracy, each an exact Fraction of its gold.
+
+    Both sides are canonical constraint strings, "<variable> = <value> ∀ <condition>":
+    the text before " ∀ " is a line's variable key and the text after it its
+    condition key.  A key is matched as many times as the side holding it
+    fewer times holds it.
+    """
+
+    def matched(side: int) -> int:
+        gold_keys = [line.split(" ∀ ")[side] for line in gold_lines]
+        answer_keys = [line.split(" ∀ ")[side] for line in answer_lines]
+        return sum(min(gold_keys.count(key), answer_keys.count(key)) for key in set(gold_keys))
+
+    return Fraction(matched(0), len(gold_lines)), Fraction(matched(1), len(gold_lines))
+
+
 def prompt_oracle(template_text: str, target: str, examples) -> str:
     """A prompt filled in by string replacement, one piece of the template at a time.
 

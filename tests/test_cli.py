@@ -17,7 +17,7 @@ from pref2constraint.runfile import (
     DecodingConfig, RunManifest, manifest_path_for, read_manifest, read_outputs,
 )
 
-from oracles import chrf_counts_oracle, combine_oracle
+from oracles import chrf_counts_oracle, combine_oracle, planned_accuracy_oracle
 
 # The constraints of each scheduler golden's check-functional, read from the script writing them.
 FUNCTIONAL_CHECKS = runpy.run_path(
@@ -210,6 +210,26 @@ class TestRunAndEval:
         assert code == 0, err
         assert {r["model_id"] for r in json.loads(out)["reports"]} == {"mock-model"}
         assert reads == [str(outputs)]
+
+    def test_eval_reads_a_long_s_variable_as_s_t(self, capsys, tmp_path):
+        outputs = tmp_path / "run.jsonl"
+        run_cli(capsys, "run", "--out", str(outputs))
+        first, *rest = outputs.read_text("utf-8").splitlines(keepends=True)
+        rows = {}
+        for response in ("ſ_t = 1 ∀ t", "s_t = 1 ∀ t"):
+            line = {**json.loads(first), "response_text": response}
+            copy = tmp_path / f"{len(rows)}.jsonl"
+            copy.write_text(json.dumps(line, ensure_ascii=False) + "\n" + "".join(rest), "utf-8")
+            manifest_path_for(copy).write_bytes(manifest_path_for(outputs).read_bytes())
+            code, out, err = run_cli(capsys, "eval", "--outputs", str(copy), "--json")
+            assert (code, err) == (0, "")
+            report = next(r for r in json.loads(out)["reports"] if r["prompt"] == line["shot"])
+            rows[response] = next(
+                r for r in report["per_utterance"] if r["record_id"] == line["record_id"]
+            )
+        long_s, plain = rows.values()
+        assert (long_s["n_parsed"], long_s["n_issues"]) == (1, 0)
+        assert {**long_s, "chrf": None} == {**plain, "chrf": None}
 
     @staticmethod
     def pilot_copy(tmp_path, edit=lambda record: record):
@@ -582,6 +602,13 @@ class TestPaperShapedRun:
     by a graded mock whose accuracies are known in closed form."""
 
     N_RECORDS = 42
+    # Each variant's (variables, conditions) numerators over 252 by shot, as its plan sums them.
+    VARIANTS = {
+        "value": {"0s": (43, 126), "1s": (70, 172), "fs": (26, 84)},
+        "condition": {"0s": (126, 20), "1s": (172, 66), "fs": (84, 22)},
+        "duplicated": {"0s": (129, 126), "1s": (176, 172), "fs": (88, 84)},
+        "cut": {"0s": (20, 20), "1s": (66, 66), "fs": (22, 22)},
+    }
 
     def compose(self, path):
         """Record i joins 1 + (i mod 3) pilot records, from the i-th on, cyclically: texts
@@ -609,13 +636,38 @@ class TestPaperShapedRun:
         return (index + SHOT_LABELS.index(shot)) % (n_gold + 1)
 
     @staticmethod
-    def answer(record, k):
-        """The first ``k`` gold constraints, last first: an answer of two or more is no part
-        of its reference, so its chrF takes the scan and the repeated-gram table."""
-        return "\n".join(reversed(record.canonical[:k]))
+    def perturbed(line, part):
+        """Canonical ``line`` with its value or its condition changed: a state flipped, a
+        temperature up 0.25 °C, an all-day condition cut to end at 23:59, any other
+        condition's last time a minute earlier."""
+        head, condition = line.split(" ∀ ")
+        if part == "value":
+            variable, value = head.split(" = ")
+            value = {"0": "1", "1": "0"}[value] if variable == "s_t" else repr(float(value) + 0.25)
+            return f"{variable} = {value} ∀ {condition}"
+        if condition == "t":
+            return f"{head} ∀ t ≤ 23:59"
+        minutes = int(condition[-5:-3]) * 60 + int(condition[-2:]) - 1
+        return f"{head} ∀ {condition[:-5]}{minutes // 60:02d}:{minutes % 60:02d}"
 
-    @pytest.mark.parametrize("concurrency", [1, 4])
-    def test_accuracies_are_the_per_utterance_means_of_the_plan(self, capsys, tmp_path, concurrency):
+    @classmethod
+    def answer(cls, record, k, variant="graded"):
+        """(response, the lines of it that parse) for ``variant`` of the answer of the first
+        ``k`` gold constraints, last first: an answer of two or more is no part of its
+        reference, so its chrF takes the scan and the repeated-gram table.  A variant
+        changes the first gold constraint, which is answered last; ``cut`` drops the
+        response's last character, so the text ends inside that constraint."""
+        lines = list(reversed(record.canonical[:k]))
+        if lines and variant in ("value", "condition"):
+            lines[-1] = cls.perturbed(lines[-1], variant)
+        elif lines and variant == "duplicated":
+            lines.append(lines[-1])
+        elif lines and variant == "cut":
+            return "\n".join(lines)[:-1], lines[:-1]
+        return "\n".join(lines), lines
+
+    def run_and_eval(self, capsys, tmp_path, concurrency, variant):
+        """The records, and the eval reports by shot of a run of ``variant`` through ``cli.main``."""
         corpus, fixtures = tmp_path / "paper.jsonl", tmp_path / "graded.json"
         self.compose(corpus)
         records = load_dataset(corpus)
@@ -629,7 +681,7 @@ class TestPaperShapedRun:
         for _, line in read_outputs(probe).values():
             record = records[index[line.record_id]]
             k = self.graded_k(index[line.record_id], line.shot, len(record.constraints))
-            answers[line.prompt_digest] = self.answer(record, k)
+            answers[line.prompt_digest] = self.answer(record, k, variant)[0]
         assert len(answers) == len(records) * len(SHOT_LABELS)
         fixtures.write_text(json.dumps(answers, ensure_ascii=False), "utf-8")
 
@@ -639,31 +691,56 @@ class TestPaperShapedRun:
             "--concurrency", str(concurrency),
         )
         assert (code, err) == (0, "")
-        code, out, _ = run_cli(capsys, "eval", "--outputs", str(outputs), "--json")
-        assert code == 0
+        code, out, err = run_cli(capsys, "eval", "--outputs", str(outputs), "--json")
+        assert (code, err) == (0, "")
         reports = {report["prompt"]: report for report in json.loads(out)["reports"]}
         assert list(reports) == list(SHOT_LABELS)
+        return records, reports
 
-        plans = {
-            shot: [Fraction(self.graded_k(i, shot, len(r.constraints)), len(r.constraints))
-                   for i, r in enumerate(records)]
-            for shot in SHOT_LABELS
-        }
-        means = {shot: sum(plan) / len(plan) for shot, plan in plans.items()}
-        # The paper's rows fit means over 42 utterances: numerators over 252 = 42 * 6.
-        assert means == {"0s": Fraction(126, 252), "1s": Fraction(172, 252), "fs": Fraction(84, 252)}
+    def check_plan(self, records, reports, variant):
+        """Check every row and shot against the plan; return each shot's planned mean accuracies."""
+        means = {}
         for shot, report in reports.items():
             assert report["n_utterances"] == self.N_RECORDS
-            assert report["acc_variables"] == report["acc_conditions"] == round(float(means[shot]), 4)
+            shares = []
             for i, (row, record) in enumerate(zip(report["per_utterance"], records)):
                 k = self.graded_k(i, shot, len(record.constraints))
+                response, parsed = self.answer(record, k, variant)
+                planned = planned_accuracy_oracle(list(record.canonical), parsed)
                 assert row["record_id"] == record.id
                 assert row["n_gold"] == len(record.constraints)
-                assert row["n_parsed"] == row["matched_variables"] == row["matched_conditions"] == k
+                assert row["n_parsed"] == len(parsed)
+                assert row["n_issues"] == (variant == "cut" and k > 0)
+                assert (Fraction(row["matched_variables"], row["n_gold"]),
+                        Fraction(row["matched_conditions"], row["n_gold"])) == planned
                 reference = "".join(" ".join(record.canonical).split())
-                hypothesis = "".join(self.answer(record, k).split())
-                oracle = combine_oracle(*chrf_counts_oracle(reference, hypothesis))
+                oracle = combine_oracle(*chrf_counts_oracle(reference, "".join(response.split())))
                 assert row["chrf"] == round(oracle, 4)
+                shares.append(planned)
+            means[shot] = tuple(sum(side) / len(shares) for side in zip(*shares))
+            # The paper's rows fit means over 42 utterances: numerators over 252 = 42 * 6.
+            assert all((mean * 252).denominator == 1 for mean in means[shot])
+            assert (report["acc_variables"], report["acc_conditions"]) == tuple(
+                round(float(mean), 4) for mean in means[shot]
+            )
+        return means
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    def test_accuracies_are_the_per_utterance_means_of_the_plan(self, capsys, tmp_path, concurrency):
+        records, reports = self.run_and_eval(capsys, tmp_path, concurrency, "graded")
+        means = self.check_plan(records, reports, "graded")
+        assert means == {"0s": (Fraction(126, 252),) * 2, "1s": (Fraction(172, 252),) * 2,
+                         "fs": (Fraction(84, 252),) * 2}
+
+    @pytest.mark.parametrize("concurrency", [1, 4])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_each_variant_scores_as_its_plan(self, capsys, tmp_path, variant, concurrency):
+        records, reports = self.run_and_eval(capsys, tmp_path, concurrency, variant)
+        means = self.check_plan(records, reports, variant)
+        assert means == {
+            shot: tuple(Fraction(numerator, 252) for numerator in numerators)
+            for shot, numerators in self.VARIANTS[variant].items()
+        }
 
 
 class TestScheduleCommands:

@@ -1,6 +1,14 @@
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+from pref2constraint import constraints as grammar
 from pref2constraint.constraints import (
     All,
     Binary,
@@ -217,6 +225,19 @@ def test_lenient_extraction_recovers_strict_constraint(constraint, prefix, suffi
     assert constraint in extracted
 
 
+# Each letter of a canonical constraint and the letters that read as it in any case.
+_CASE_VARIANTS = {"s": "sSſ", "h": "hH", "t": "tT"}
+
+
+@given(constraints_strategy, st.data())
+def test_lenient_extraction_reads_every_letter_case(constraint, data):
+    text = "".join(
+        data.draw(st.sampled_from(_CASE_VARIANTS[char])) if char in _CASE_VARIANTS else char
+        for char in render_constraint(constraint)
+    )
+    assert extract_constraints(text) == ([constraint], [])
+
+
 @given(st.sampled_from([0, 1]), st.floats(min_value=10.0, max_value=60.0))
 def test_pairing_soundness(binary_value, degrees_value):
     with pytest.raises(PairingError):
@@ -345,6 +366,12 @@ class TestExtract:
     def test_upper_case_variable_is_read(self, text, expected):
         assert extract_constraints("ecco: " + text) == ([expected], [])
 
+    def test_long_s_variable_is_read_as_s_t(self):
+        # Under IGNORECASE 'ſ' (U+017F) matches 's'; it must be read as s_t, not raise.
+        assert extract_constraints("ſ_t = 1 ∀ t") == (
+            [Constraint(Variable.STATE, Binary(1), All())], []
+        )
+
     def test_bare_t_does_not_steal_bounded_t(self):
         constraints, _ = extract_constraints("s_t = 1 ∀ t ≤ 22:00")
         assert constraints == [Constraint(Variable.STATE, Binary(1), Until(tp(22)))]
@@ -411,3 +438,75 @@ class TestTimeLiterals:
                 assert (issue.start, issue.end, issue.text) == (0, len(text), text), literal
                 got = (_ISSUE_ERRORS[issue.kind], issue.detail)
             assert got == time_literal_oracle(literal, len(self.PREFIX)), literal
+
+
+# --- what compiles when ----------------------------------------------------
+
+
+def lazy_patterns() -> tuple[list[str], list[str]]:
+    """The strict prefix patterns and the lenient grammar's patterns, as strings."""
+    anchor, whole, prefixes = grammar._lenient()
+    return (
+        [pattern.pattern for pattern in grammar._strict_prefixes()],
+        [pattern.pattern for pattern in (anchor, whole, *prefixes)],
+    )
+
+
+# Prints every str pattern passed to re.compile while the CLI is imported.
+IMPORT_PROBE = """
+import json, re
+seen, compile = [], re.compile
+re.compile = lambda pattern, flags=0: seen.append(pattern) or compile(pattern, flags)
+import pref2constraint.cli
+print(json.dumps([pattern for pattern in seen if isinstance(pattern, str)]))
+"""
+
+
+def test_importing_the_cli_compiles_no_prefix_or_lenient_pattern():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    at_import = json.loads(result.stdout)
+    strict, lenient = lazy_patterns()
+    assert len(strict) == 4 and len(lenient) == 6
+    assert set(at_import) & set(strict + lenient) == set()
+    assert grammar._STRICT_RE.pattern in at_import
+
+
+class TestCompiledOnce:
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """Every pattern passed to re.compile from here on, the grammar's caches emptied."""
+        grammar._strict_prefixes.cache_clear()
+        grammar._lenient.cache_clear()
+        seen, compile = [], re.compile
+
+        def recording(pattern, flags=0):
+            seen.append(pattern)
+            return compile(pattern, flags)
+
+        monkeypatch.setattr(re, "compile", recording)
+        return seen
+
+    def test_a_valid_parse_compiles_nothing(self, compiled):
+        assert parse_constraint("s_t = 1 ∀ 07:00 ≤ t ≤ 08:30").condition == Range(tp(7), tp(8, 30))
+        assert compiled == []
+
+    def test_failed_parses_compile_the_strict_prefixes_once(self, compiled):
+        for text, position in (("s_t = 1 ∀ banana", 10), ("s_t = 1 ∀ t ≤", 13)):
+            with pytest.raises(ConstraintSyntaxError) as excinfo:
+                parse_constraint(text)
+            assert excinfo.value.position == position
+        assert list(compiled) == lazy_patterns()[0]
+
+    def test_cut_off_candidates_compile_the_lenient_grammar_once(self, compiled):
+        for text in ("ecco: s_t = 1 ∀ t ≤", "s_t = 1 ∀ 07:00 ≤ t ≤ 08:3"):
+            cut = text[text.index("s_t") :]
+            assert extract_constraints(text) == ([], [ExtractionIssue(
+                len(text) - len(cut), len(text), cut, IssueKind.TRUNCATED,
+                "candidate cut off at end of output",
+            )])
+        assert list(compiled) == lazy_patterns()[1]

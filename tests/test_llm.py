@@ -338,8 +338,13 @@ def test_cli_import_loads_no_http_library():
 
 @pytest.mark.parametrize(
     "module,unused",
-    [("pref2constraint", "pref2constraint."), ("pref2constraint.metrics", "pref2constraint.llm")],
-    ids=["package", "metrics"],
+    [
+        ("pref2constraint", "pref2constraint."),
+        ("pref2constraint.metrics", "pref2constraint.llm"),
+        # Only RunManifest.create stamps a time, so only a new manifest loads datetime.
+        ("pref2constraint.cli", "datetime"),
+    ],
+    ids=["package", "metrics", "cli-datetime"],
 )
 def test_an_import_loads_no_module_it_does_not_use(module, unused):
     src = Path(__file__).resolve().parents[1] / "src"
