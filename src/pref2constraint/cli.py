@@ -35,7 +35,7 @@ from .prompting import (
     ShotSetting,
     build_prompt,
 )
-from .runfile import ConfigError, DecodingConfig, RunManifest, find_corpus, read_manifest
+from .runfile import ConfigError, DecodingConfig, RunManifest
 from .scheduler import ScheduleProblem, check_functional, solve
 
 ENV_PREFIX = "PREF2CONSTRAINT"
@@ -192,18 +192,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    # The manifest, read once, names the gold corpus unless --gold does and
-    # the model id unless --model does.
-    manifest = None if args.gold and args.model is not None else read_manifest(args.outputs)
-    if args.gold:
-        gold_path = Path(args.gold)
-    else:
-        gold_path = pilot_corpus_path() if manifest is None else find_corpus(args.outputs, manifest)
-    model_id = args.model
-    if model_id is None:
-        model_id = manifest.model_id if manifest else "unknown"
-    gold = load_dataset(gold_path)
-    reports = evaluate_run(args.outputs, gold, model_id=model_id, corpus_chrf=args.corpus_chrf)
+    gold = load_dataset(args.gold) if args.gold else None
+    reports = evaluate_run(args.outputs, gold, model_id=args.model, corpus_chrf=args.corpus_chrf)
     text = reports_to_json(reports) if args.report or args.json else ""
     if args.report:
         Path(args.report).write_text(text, encoding="utf-8")

@@ -48,9 +48,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .constraints import Constraint, extract_constraints
-from .dataset import GoldRecord
+from .dataset import GoldRecord, load_dataset, pilot_corpus_path
 from .errors import LineError, Pref2ConstraintError, encodable
-from .runfile import read_manifest, read_outputs
+from .runfile import find_corpus, read_manifest, read_outputs
 
 
 class MetricsError(Pref2ConstraintError):
@@ -293,7 +293,7 @@ def gold_reference_string(record: GoldRecord) -> str:
 
 def evaluate_run(
     outputs_path: str | Path,
-    gold: list[GoldRecord],
+    gold: list[GoldRecord] | None = None,
     model_id: str | None = None,
     corpus_chrf: bool = False,
 ) -> list[EvalReport]:
@@ -305,10 +305,18 @@ def evaluate_run(
     utterances instead of averaging per-utterance scores.  Reports follow
     each shot's first line in the file, and their rows that shot's lines.
     A torn last line, left by a killed run, is skipped (``read_outputs``).
+
+    A ``gold`` or ``model_id`` left out comes from the run's manifest, read
+    once: the corpus it names (``find_corpus``) and its model id.  Without a
+    manifest they are the pilot corpus and the model id "unknown".
     """
-    if model_id is None:
+    if gold is None or model_id is None:
         manifest = read_manifest(outputs_path)
-        model_id = manifest.model_id if manifest else "unknown"
+        if gold is None:
+            corpus = find_corpus(outputs_path, manifest) if manifest else pilot_corpus_path()
+            gold = load_dataset(corpus)
+        if model_id is None:
+            model_id = manifest.model_id if manifest else "unknown"
 
     by_id = {record.id: record for record in gold}
     responses: dict[str, dict[str, str]] = {}  # record_id -> shot -> response

@@ -184,8 +184,6 @@ class ExamplePool:
     def select(self, target_id: str, k: int) -> list[str]:
         if k < 0:
             raise PromptingError(f"k must be >= 0, got {k}")
-        if k == 0:
-            return []
         target = self.records.get(target_id)
         # Left out: the target and every holder of one of its gold constraints.
         holders = [self._holders[c] for c in target.constraints] if target is not None else []

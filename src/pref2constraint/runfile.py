@@ -223,7 +223,7 @@ class OutputsLine(NamedTuple):
         # first missing or mistyped field is the one named.
         line = cls._make([typed(data, name, "string") for name in cls._fields])
         if line.shot not in SHOT_LABELS:
-            raise ValueError(f"unknown shot label {line.shot!r} (expected 0s, 1s or fs)")
+            ShotSetting.from_label(line.shot)  # raises, naming the label
         return line
 
 

@@ -2,7 +2,7 @@ import inspect
 import json
 import math
 import runpy
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,12 +10,17 @@ import pytest
 
 from pref2constraint import cli, metrics
 from pref2constraint.cli import build_parser, main
+from pref2constraint.constraints import parse_constraint
 from pref2constraint.dataset import load_dataset, mock_fixtures_path, pilot_corpus_path
+from pref2constraint.grounding import (
+    ALLOWED_SLOT_MINUTES, ConflictError, GroundedAssignment, Horizon, ground,
+)
 from pref2constraint.llm import MockBackend, run_experiment
 from pref2constraint.prompting import DEFAULT_TEMPLATE_ID, MAX_FEW_SHOT, SHOT_LABELS
 from pref2constraint.runfile import (
     DecodingConfig, RunManifest, manifest_path_for, read_manifest, read_outputs,
 )
+from pref2constraint.scheduler import Appliance, ScheduleProblem, check_functional
 
 from oracles import chrf_counts_oracle, combine_oracle, planned_accuracy_oracle
 
@@ -204,12 +209,32 @@ class TestRunAndEval:
             reads.append(path)
             return read_manifest(path)
 
-        for module in (cli, metrics):
-            monkeypatch.setattr(module, "read_manifest", counted)
+        monkeypatch.setattr(metrics, "read_manifest", counted)
         code, out, err = run_cli(capsys, "eval", "--outputs", str(outputs), "--json")
         assert code == 0, err
         assert {r["model_id"] for r in json.loads(out)["reports"]} == {"mock-model"}
         assert reads == [str(outputs)]
+
+    def test_eval_reads_the_manifest_only_for_a_flag_left_out(self, capsys, tmp_path, monkeypatch):
+        outputs = tmp_path / "run.jsonl"
+        run_cli(capsys, "run", "--out", str(outputs))
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return read_manifest(path)
+
+        monkeypatch.setattr(metrics, "read_manifest", counted)
+        gold, model = ("--gold", str(pilot_corpus_path())), ("--model", "m")
+        counts = []
+        for flags in [(), gold, model, gold + model]:
+            reads.clear()
+            code, out, err = run_cli(capsys, "eval", "--outputs", str(outputs), "--json", *flags)
+            assert code == 0, err
+            model_ids = {r["model_id"] for r in json.loads(out)["reports"]}
+            assert model_ids == {"m" if "--model" in flags else "mock-model"}
+            counts.append(len(reads))
+        assert counts == [1, 1, 1, 0]
 
     def test_eval_reads_a_long_s_variable_as_s_t(self, capsys, tmp_path):
         outputs = tmp_path / "run.jsonl"
@@ -609,6 +634,7 @@ class TestPaperShapedRun:
         "duplicated": {"0s": (129, 126), "1s": (176, 172), "fs": (88, 84)},
         "cut": {"0s": (20, 20), "1s": (66, 66), "fs": (22, 22)},
     }
+    CONFLICTING = (1, 8, 14, 17, 26, 35, 41)  # records whose gold lines force one slot two ways
 
     def compose(self, path):
         """Record i joins 1 + (i mod 3) pilot records, from the i-th on, cyclically: texts
@@ -740,6 +766,45 @@ class TestPaperShapedRun:
         assert means == {
             shot: tuple(Fraction(numerator, 252) for numerator in numerators)
             for shot, numerators in self.VARIANTS[variant].items()
+        }
+
+    def test_check_functional_on_each_graded_answer(self, tmp_path):
+        """The composed records ground and are checked against one fixed problem: a conflicting
+        gold fails every answer, and an answer holding every gold constraint breaks none."""
+        corpus = tmp_path / "paper.jsonl"
+        self.compose(corpus)
+        records = load_dataset(corpus)
+        conflicts = set()
+        for i, record in enumerate(records):
+            for minutes in ALLOWED_SLOT_MINUTES:
+                try:
+                    ground(list(record.constraints), Horizon(minutes))
+                except ConflictError:
+                    conflicts.add((i, minutes))
+        assert conflicts == {(i, m) for i in self.CONFLICTING for m in ALLOWED_SLOT_MINUTES}
+
+        # 30-minute slots, PV in slots 14-33, an appliance on for any 24 slots.
+        horizon = Horizon(30)
+        pv = tuple(1.0 if 14 <= slot <= 33 else 0.0 for slot in range(horizon.num_slots))
+        problem = ScheduleProblem(
+            horizon, pv, (0.0,) * len(pv), Appliance(1.0, 24, contiguous=False),
+            GroundedAssignment(horizon),
+        )
+        own_outcomes = Counter()  # the gold as its own answer
+        for i, record in enumerate(records):
+            gold = list(record.constraints)
+            own = check_functional(gold, gold, problem)
+            own_outcomes[own.reason.split(":")[0] if own.reason else "passed"] += 1
+            for shot in SHOT_LABELS:
+                k = self.graded_k(i, shot, len(gold))
+                answer = [parse_constraint(line) for line in self.answer(record, k)[1]]
+                result = check_functional(gold, answer, problem)
+                if i in self.CONFLICTING:
+                    assert result.reason.startswith("gold constraints conflict: ")
+                elif k == len(gold):  # the answer holds every gold constraint
+                    assert result.passed or " must " not in result.reason, (record.id, result.reason)
+        assert own_outcomes == {
+            "passed": 30, "infeasible under generated constraints": 5, "gold constraints conflict": 7,
         }
 
 

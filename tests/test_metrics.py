@@ -8,6 +8,7 @@ from operator import add
 import pytest
 from hypothesis import example, given, strategies as st
 
+from pref2constraint import metrics
 from pref2constraint.constraints import extract_constraints, parse_constraint
 from pref2constraint.dataset import GoldRecord, mock_fixtures_path, pilot_corpus_path
 from pref2constraint.llm import MockBackend, run_experiment
@@ -31,7 +32,9 @@ from pref2constraint.metrics import (
     strip_whitespace,
 )
 from pref2constraint.prompting import SHOT_LABELS
-from pref2constraint.runfile import CorruptOutputsError, RunManifest
+from pref2constraint.runfile import (
+    CorruptOutputsError, ManifestMismatchError, RunManifest, manifest_path_for, read_manifest,
+)
 
 from oracles import chrf_counts_oracle, chrf_oracle, combine_oracle, match_counts_oracle
 from reference_rows import REFERENCE_BASELINE_ROWS
@@ -640,6 +643,71 @@ class TestEvaluateRun:
         assert mean_report.chrf == pytest.approx(50.0)
         assert corpus_report.chrf < 100.0
         assert corpus_report.chrf == pytest.approx(_combine(matched, matched, references))
+
+
+class TestEvaluateRunInputs:
+    """What ``evaluate_run`` is not given, the run's manifest supplies."""
+
+    @staticmethod
+    def mock_run(tmp_path, pilot_records, dataset_path=None):
+        outputs = tmp_path / "run.jsonl"
+        manifest = RunManifest.create(
+            dataset_path or pilot_corpus_path(), "it", SHOT_LABELS, "mock-model"
+        )
+        run_experiment(manifest, pilot_records, MockBackend.from_file(mock_fixtures_path()), outputs)
+        return outputs
+
+    def test_the_manifest_names_the_gold_and_model_id(self, tmp_path, pilot_records, golden_dir):
+        outputs = self.mock_run(tmp_path, pilot_records)
+        golden = (golden_dir / "eval_report.json").read_text("utf-8")
+        assert reports_to_json(evaluate_run(outputs)) == golden
+
+    def test_without_a_manifest_the_pilot_is_scored_under_model_id_unknown(
+        self, tmp_path, pilot_records
+    ):
+        outputs = self.mock_run(tmp_path, pilot_records)
+        manifest_path_for(outputs).unlink()
+        reports = evaluate_run(outputs)
+        assert {report.model_id for report in reports} == {"unknown"}
+        assert reports == evaluate_run(outputs, pilot_records, model_id="unknown")
+
+    def test_the_manifest_is_read_once_and_only_for_what_is_left_out(
+        self, tmp_path, pilot_records, monkeypatch
+    ):
+        outputs = self.mock_run(tmp_path, pilot_records)
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return read_manifest(path)
+
+        monkeypatch.setattr(metrics, "read_manifest", counted)
+        counts = []
+        for gold, model_id in [(None, None), (pilot_records, None), (None, "m"), (pilot_records, "m")]:
+            reads.clear()
+            reports = evaluate_run(outputs, gold, model_id=model_id)
+            assert {report.model_id for report in reports} == {model_id or "mock-model"}
+            counts.append(len(reads))
+        assert counts == [1, 1, 1, 0]
+
+    @pytest.mark.parametrize("change", ["missing", "edited"])
+    def test_a_run_whose_corpus_is_gone_or_changed_is_refused(
+        self, tmp_path, pilot_records, change
+    ):
+        data = tmp_path / "corpus.jsonl"
+        data.write_bytes(pilot_corpus_path().read_bytes())
+        outputs = self.mock_run(tmp_path, pilot_records, data)
+        if change == "missing":
+            data.unlink()
+        else:
+            data.write_bytes(data.read_bytes() + b"\n")
+        fault = "is missing" if change == "missing" else "changed since the run"
+        with pytest.raises(ManifestMismatchError) as caught:
+            evaluate_run(outputs, model_id="m")
+        assert str(caught.value) == (
+            f"{manifest_path_for(outputs)}: dataset file {data} {fault}; "
+            "pass --gold to name the gold corpus"
+        )
 
 
 class TestReportRendering:
