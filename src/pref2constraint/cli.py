@@ -298,7 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=MAX_FEW_SHOT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--template", default=DEFAULT_TEMPLATE_ID)
-    p.add_argument("--concurrency", type=int, default=DEFAULT_CONCURRENCY)
+    p.add_argument(
+        "--concurrency", type=int, default=DEFAULT_CONCURRENCY,
+        help="threads sending to --backend openai (the mock is sent to from one)",
+    )
     for f in fields(DecodingConfig):  # one flag per decoding setting, at the library's default
         p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default), default=f.default)
 

@@ -6,15 +6,16 @@ of the prompt.  The mock makes the whole pipeline runnable offline and
 bit-reproducible, and doubles as a golden-prompt tripwire: any prompt
 drift shows up as a missing fixture digest.
 
-``run_experiment`` walks dataset × shot settings, appends one outputs line
-per completion as soon as it returns, skips pairs already present in the
-outputs file if completed from the prompt it would send, refuses a line
-of a pair it does not send, and keeps a manifest next to the outputs
-(``runfile`` owns both formats).  Until the run ends the lines are in
-completion order, so a killed run keeps every finished line; a run that
-ends puts the file in canonical order (corpus record order, then manifest
-shot order).  A failed completion is recorded and skipped; it never
-aborts the remaining items.
+``run_experiment`` walks dataset × shot settings, sending from several
+threads only to a backend that waits on I/O (the remote one), appends one
+outputs line per completion as soon as it returns, skips pairs already
+present in the outputs file if completed from the prompt it would send,
+refuses a line of a pair it does not send, and keeps a manifest next to
+the outputs (``runfile`` owns both formats).  Until the run ends the lines
+are in completion order, so a killed run keeps every finished line; a run
+that ends puts the file in canonical order (corpus record order, then
+manifest shot order).  A failed completion is recorded and skipped; it
+never aborts the remaining items.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .prompting import select_examples  # noqa: F401
 from .runfile import manifest_path_for  # noqa: F401
 
 
-DEFAULT_CONCURRENCY = 4  # threads completing requests in run_experiment, the calling one included
+DEFAULT_CONCURRENCY = 4  # threads sending to a backend that waits, the calling one included
 RETRY_WAITS_S = (0.5, 1.0, 2.0)  # pause before each retry of a transient failure
 REQUEST_TIMEOUT_S = 60.0  # per remote completion request
 
@@ -93,6 +94,14 @@ def prompt_digest(prompt: str) -> str:
 
 
 class Backend(Protocol):
+    """A backend whose ``send`` waits on I/O sets the class attribute ``waits = True``.
+
+    ``run_experiment`` sends to it from up to ``concurrency`` threads.  One
+    without it (``getattr(backend, "waits", False)``) answers in-process, so a
+    helper thread could overlap none of its work: it is sent to from the
+    calling thread alone.
+    """
+
     name: str
 
     def send(self, request: CompletionRequest) -> ModelResponse: ...
@@ -126,6 +135,7 @@ class OpenAICompatBackend:
     """Remote backend speaking the OpenAI chat-completions wire format."""
 
     name = "openai-compat"
+    waits = True  # a request waits on the network, so run_experiment overlaps several
 
     def __init__(self, endpoint: str, api_key: str):
         if not endpoint.lower().startswith(("http://", "https://")):
@@ -228,15 +238,16 @@ def _complete_all(
 ) -> tuple[list[tuple[int, bytes]], list[tuple[int, RunFailure]]]:
     """Complete each (rank, spec) item and append its line to ``out``.
 
-    The calling thread and up to ``concurrency - 1`` helper threads share one
-    lock.  Holding it, a worker writes and flushes its finished line, if it
-    has one, takes the next item from one shared iterator and renders its
-    prompt from the examples in ``records`` (by id).  So one thread at a time
-    fills a record's prompt pieces (``GoldRecord.tagged``, ``.canonical``),
-    each once, at most ``concurrency`` rendered prompts are held at once, and
-    a worker writes its line before it takes another item: a finished line
-    waits on no other request, only on a worker that holds the lock to render
-    or write.  Returns the (rank, line) pairs in the order written and the
+    The calling thread and, for a backend that ``waits``, up to
+    ``concurrency - 1`` helper threads share one lock; any other backend is
+    sent to from the calling thread alone.  Holding the lock, a worker writes
+    and flushes its finished line, if it has one, takes the next item from one
+    shared iterator and renders its prompt from the examples in ``records``
+    (by id).  So one thread at a time fills a record's prompt pieces
+    (``GoldRecord.tagged``, ``.canonical``), each once, at most one rendered
+    prompt per worker is held at once, and a worker writes its line before it
+    takes another item: a finished line waits on no other request, only on a
+    worker that holds the lock to render or write.  Returns the (rank, line) pairs in the order written and the
     (rank, failure) pairs of the items whose completion raised a
     ``BackendError``, or held a lone surrogate (``encodable``; a backend may
     decode one from a JSON escape).  Any other exception, ``KeyboardInterrupt``
@@ -248,6 +259,11 @@ def _complete_all(
     # whichever worker got a second, non-blocking write lock: a blocking write lock beside
     # the take lock cost 32-42 % and a lock-free O_APPEND write per line 3-25 % (median
     # 7 %, 10 s runs); this one lock cost 1.2 % and 2.5 % (8 s runs, seeds 1 and 13).
+    # A helper thread for an in-process backend overlaps nothing: each line's flush lets
+    # the other thread take the interpreter lock, a cross-CPU wake-up per line.  Sending
+    # to it from the calling thread alone took `replicated` (two workers before) from
+    # 10.0k to 16.4k items/s unpinned (10 of 10 pairs, 30 s runs) and from 16.1k to 16.3k
+    # pinned to one CPU with `taskset -c 0` (4 of 4).
     items = iter(work)
     lock = threading.Lock()
     written: list[tuple[int, bytes]] = []
@@ -282,7 +298,8 @@ def _complete_all(
             stop.set()
             errors.append(exc)
 
-    helpers = [threading.Thread(target=work_loop) for _ in range(min(concurrency, len(work)) - 1)]
+    workers = min(concurrency, len(work)) if getattr(backend, "waits", False) else 1
+    helpers = [threading.Thread(target=work_loop) for _ in range(workers - 1)]
     for helper in helpers:
         helper.start()
     try:
@@ -308,8 +325,9 @@ def run_experiment(
     Every record's examples are drawn and every prompt spec checked before
     the manifest or any line is written, so too few records, a leak of the
     target into its examples or an unknown template writes nothing.  Then
-    ``concurrency`` threads, the calling one included, send requests; each
-    renders the prompt it sends, so a run never holds every prompt.  Each
+    ``concurrency`` threads, the calling one included, send requests to a
+    backend that ``waits`` on I/O, and the calling thread alone to any other;
+    each renders the prompt it sends, so a run never holds every prompt.  Each
     line is appended and flushed as its completion returns, so until the run
     ends the lines are in completion order and a killed run keeps every
     finished line.  A run that ends rewrites the file once, through a

@@ -181,7 +181,9 @@ class LoopbackServer(ThreadingHTTPServer):
     """A chat-completions stand-in: answers each POST with ``reply`` and keeps what it got.
 
     ``stall`` holds the answer until ``release`` is set: before the status line
-    ("headers") or after its first body byte ("body").
+    ("headers") or after its first body byte ("body").  With ``fixtures`` set
+    (prompt digest -> completion) it answers each prompt from them instead,
+    and holds the first two requests until both have arrived, for at most 10 s.
     """
 
     daemon_threads = False  # server_close joins the handler threads
@@ -192,14 +194,28 @@ class LoopbackServer(ThreadingHTTPServer):
         self.stall = None
         self.release = threading.Event()
         self.received = []
+        self.fixtures = None
+        self.meet = threading.Barrier(2, timeout=10)
+        self.lock = threading.Lock()
 
 
 class LoopbackHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         server = self.server
-        sent = self.rfile.read(int(self.headers["Content-Length"]))
-        server.received.append({"path": self.path, "headers": self.headers, "json": json.loads(sent)})
-        status, body = server.reply
+        sent = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            server.received.append({"path": self.path, "headers": self.headers, "json": sent})
+            arrived = len(server.received)
+        if server.fixtures is None:
+            status, body = server.reply
+        else:
+            try:
+                if arrived <= 2:
+                    server.meet.wait()
+                prompt = sent["messages"][0]["content"]
+                status, body = 200, completion_body(server.fixtures[prompt_digest(prompt)])
+            except threading.BrokenBarrierError:  # a status the client does not retry
+                status, body = 400, b"the first two requests were never in flight together"
         if server.stall == "headers":
             server.release.wait(10)
             return
@@ -411,10 +427,21 @@ def line_count(path):
     return path.read_bytes().count(b"\n") if path.exists() else 0
 
 
+class WaitingMock(MockBackend):
+    """The shipped mock, declared to wait on I/O, so run_experiment starts its helper threads."""
+
+    waits = True
+
+
+def waiting_mock_backend():
+    return WaitingMock.from_file(mock_fixtures_path())
+
+
 class GatedBackend:
     """The shipped mock, but the first request waits until ``release`` is set."""
 
     name = "gated"
+    waits = True
 
     def __init__(self):
         self.release = threading.Event()
@@ -667,12 +694,25 @@ class TestRunExperiment:
         sys.setswitchinterval(1e-6)  # threads switch as often as the interpreter allows
         try:
             summary = run_experiment(
-                pilot_manifest, pilot_records, shipped_mock_backend(), b, concurrency=8
+                pilot_manifest, pilot_records, waiting_mock_backend(), b, concurrency=8
             )
         finally:
             sys.setswitchinterval(interval)
         assert summary.completed == 78 and not summary.failures
         assert a.read_bytes() == b.read_bytes()
+
+    def test_remote_requests_overlap_and_end_with_the_bytes_of_a_mock_run(
+        self, pilot_manifest, pilot_records, tmp_path, loopback
+    ):
+        clean = tmp_path / "clean.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), clean, concurrency=1)
+        loopback.fixtures = json.loads(mock_fixtures_path().read_text("utf-8"))
+        backend = OpenAICompatBackend(f"http://127.0.0.1:{loopback.server_port}/v1", "sk-test")
+        outputs = tmp_path / "run.jsonl"
+        summary = run_experiment(pilot_manifest, pilot_records, backend, outputs, concurrency=4)
+        assert summary.completed == 78 and not summary.failures  # the first two requests met
+        assert len(loopback.received) == 78
+        assert outputs.read_bytes() == clean.read_bytes()
 
     def test_a_slow_request_holds_no_other_line_back(self, pilot_manifest, pilot_records, tmp_path):
         clean = tmp_path / "clean.jsonl"
@@ -739,6 +779,7 @@ class TestRunExperiment:
             """The shipped mock, but one pair's completion holds a lone surrogate."""
 
             name = "surrogate"
+            waits = True
 
             def send(self, request):
                 if prompt_digest(request.prompt) == broken["prompt_digest"]:
@@ -757,10 +798,11 @@ class TestRunExperiment:
         assert (resumed.skipped, resumed.completed) == (77, 1)
         assert outputs.read_bytes() == clean.read_bytes()
 
+    @pytest.mark.parametrize("waits", [True, False], ids=["waiting", "in-process"])
     @pytest.mark.parametrize(
         "crash", [RuntimeError("backend bug"), KeyboardInterrupt()], ids=["error", "interrupt"]
     )
-    def test_a_crash_stops_the_run(self, pilot_manifest, pilot_records, tmp_path, crash):
+    def test_a_crash_stops_the_run(self, pilot_manifest, pilot_records, tmp_path, crash, waits):
         mock = shipped_mock_backend()
 
         class CrashingThird:
@@ -769,11 +811,14 @@ class TestRunExperiment:
             name = "crashing"
 
             def __init__(self):
+                self.waits = waits
                 self.lock = threading.Lock()
                 self.sent = self.sent_after = self.returned = 0
+                self.senders = set()
 
             def send(self, request):
                 with self.lock:
+                    self.senders.add(threading.get_ident())
                     self.sent += 1
                     if self.sent == 3:
                         raise crash
@@ -788,13 +833,18 @@ class TestRunExperiment:
         backend, outputs = CrashingThird(), tmp_path / "run.jsonl"
         with pytest.raises(type(crash)):
             run_experiment(pilot_manifest, pilot_records, backend, outputs, concurrency=4)
-        assert backend.sent_after <= 3
+        assert backend.sent_after <= (3 if waits else 0)
+        assert waits or backend.senders == {threading.get_ident()}
         assert set(threading.enumerate()) == threads
         assert line_count(outputs) == backend.returned  # every finished line is on disk
 
+    @pytest.mark.parametrize("concurrency", [1, 8])
     def test_concurrency_one_starts_no_thread_and_never_rewrites(
-        self, pilot_manifest, pilot_records, tmp_path, monkeypatch
+        self, pilot_manifest, pilot_records, tmp_path, monkeypatch, concurrency
     ):
+        """At concurrency 8 too, for a backend that does not declare it ``waits``."""
+        clean = tmp_path / "clean.jsonl"
+        run_experiment(pilot_manifest, pilot_records, shipped_mock_backend(), clean, concurrency=1)
         mock, seen = shipped_mock_backend(), set()
 
         class Watching:
@@ -810,8 +860,11 @@ class TestRunExperiment:
         monkeypatch.setattr(os, "replace", refuse)
         expected = {(threading.get_ident(), threading.active_count())}
         outputs = tmp_path / "run.jsonl"
-        summary = run_experiment(pilot_manifest, pilot_records, Watching(), outputs, concurrency=1)
+        summary = run_experiment(
+            pilot_manifest, pilot_records, Watching(), outputs, concurrency=concurrency
+        )
         assert summary.completed == 78 and seen == expected
+        assert outputs.read_bytes() == clean.read_bytes()
 
     def test_an_unfinished_rewrite_leaves_every_line_in_place(
         self, pilot_manifest, pilot_records, tmp_path, monkeypatch
@@ -860,7 +913,7 @@ class TestRunExperiment:
             sys.setswitchinterval(1e-6)  # threads switch as often as the interpreter allows
             try:
                 summary = run_experiment(
-                    pilot_manifest, records, shipped_mock_backend(), tmp_path / name, concurrency=8
+                    pilot_manifest, records, waiting_mock_backend(), tmp_path / name, concurrency=8
                 )
             finally:
                 sys.setswitchinterval(interval)
@@ -894,7 +947,7 @@ class TestRunExperiment:
         monkeypatch.setattr(llm, "build_prompt", watched)
         outputs = tmp_path / "run.jsonl"
         summary = run_experiment(
-            pilot_manifest, pilot_records, shipped_mock_backend(), outputs, concurrency=4
+            pilot_manifest, pilot_records, waiting_mock_backend(), outputs, concurrency=4
         )
         assert summary.completed == 78 and not summary.failures
         assert most == 1
